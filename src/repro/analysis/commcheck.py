@@ -106,7 +106,6 @@ class CommCheckCase:
     sources: int = 8
     batch: int = 8
     seed: int = 7
-    plane: str = "dict"  # engine tier (ignored by mrbc-congest)
 
 
 #: CI-sized: seconds total, both engines and both graph regimes, plus the
@@ -348,9 +347,7 @@ def run_case_checks(case: CommCheckCase) -> list[CheckResult]:
         from repro.baselines.sbbc import sbbc_engine
 
         with obs.session(comm=ledger):
-            res = sbbc_engine(
-                g, sources=sources, num_hosts=case.hosts, plane=case.plane
-            )
+            res = sbbc_engine(g, sources=sources, num_hosts=case.hosts)
     elif case.algorithm == "mrbc":
         from repro.core.mrbc import mrbc_engine
 
@@ -360,7 +357,6 @@ def run_case_checks(case: CommCheckCase) -> list[CheckResult]:
                 sources=sources,
                 batch_size=case.batch,
                 num_hosts=case.hosts,
-                plane=case.plane,
             )
     else:
         raise ValueError(f"unknown commcheck algorithm {case.algorithm!r}")
@@ -380,7 +376,6 @@ def run_case_checks(case: CommCheckCase) -> list[CheckResult]:
                 batch_size=case.batch,
                 num_hosts=case.hosts,
                 delayed_sync=False,
-                plane=case.plane,
             )
         results.append(
             check_delayed_sync(

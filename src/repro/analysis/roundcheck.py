@@ -86,7 +86,6 @@ class RoundCheckCase:
     batch: int = 4
     seed: int = 7
     slack: int = DEFAULT_SLACK
-    plane: str = "dict"  # engine tier (ignored by mrbc-congest)
 
 
 #: CI-sized: seconds total, both engines and both graph regimes, plus the
@@ -340,9 +339,7 @@ def run_case_checks(case: RoundCheckCase) -> list[CheckResult]:
         from repro.baselines.sbbc import sbbc_engine
 
         with obs.session(rounds=ledger):
-            res = sbbc_engine(
-                g, sources=sources, num_hosts=case.hosts, plane=case.plane
-            )
+            res = sbbc_engine(g, sources=sources, num_hosts=case.hosts)
     elif case.algorithm == "mrbc":
         from repro.core.mrbc import mrbc_engine
 
@@ -352,7 +349,6 @@ def run_case_checks(case: RoundCheckCase) -> list[CheckResult]:
                 sources=sources,
                 batch_size=case.batch,
                 num_hosts=case.hosts,
-                plane=case.plane,
             )
     else:
         raise ValueError(f"unknown roundcheck algorithm {case.algorithm!r}")
@@ -378,7 +374,6 @@ def run_case_checks(case: RoundCheckCase) -> list[CheckResult]:
                 batch_size=case.batch,
                 num_hosts=case.hosts,
                 delayed_sync=False,
-                plane=case.plane,
             )
         results.append(
             check_delayed_rounds(

@@ -13,8 +13,10 @@ Snapshots are heterogeneous by design — suites grew over time, the
 ``comm`` and ``rounds`` sections appeared mid-series — so the trend is
 grouped per *case name*: a case contributes one point per snapshot that
 ran it, and count columns are shown from the first snapshot that carried
-them.  Between consecutive points of the same case the step is
-classified:
+them.  (Snapshots from when MRBC/SBBC had a second execution tier also
+carry ``<case>@array`` twins, trended as cases of their own, and a
+speedup field under ``wall_s`` that is not read.)  Between consecutive
+points of the same case the step is classified:
 
 - any gated deterministic / comm / rounds count change is a **change**
   (the behavioural drift ``--compare`` would have flagged at the time);
@@ -60,9 +62,6 @@ class TrendPoint:
     suite: str
     wall_median_s: float | None
     wall_iqr_s: float | None
-    #: Columnar-tier speedup over the dict twin in the same snapshot
-    #: (``@array`` cases from ``repro bench --plane both`` only).
-    speedup_vs_dict: float | None = None
     deterministic: dict[str, Any] = field(default_factory=dict)
     comm: dict[str, Any] | None = None
     rounds: dict[str, Any] | None = None
@@ -81,7 +80,6 @@ class TrendPoint:
             "suite": self.suite,
             "wall_median_s": self.wall_median_s,
             "wall_iqr_s": self.wall_iqr_s,
-            "speedup_vs_dict": self.speedup_vs_dict,
             "deterministic": self.deterministic,
             "comm": self.comm,
             "rounds": self.rounds,
@@ -265,7 +263,6 @@ def build_trend(
                 suite=doc.get("suite", "?"),
                 wall_median_s=wall.get("median"),
                 wall_iqr_s=wall.get("iqr"),
-                speedup_vs_dict=wall.get("speedup_vs_dict"),
                 deterministic=case.get("deterministic", {}),
                 comm=case.get("comm"),
                 rounds=case.get("rounds"),
@@ -298,8 +295,6 @@ def render_trend(report: TrendReport) -> str:
             wall = (
                 f"{pt.wall_median_s:.4f}s" if pt.wall_median_s is not None else "-"
             )
-            if pt.speedup_vs_dict is not None:
-                wall += f" ({pt.speedup_vs_dict:.2f}x vs dict)"
             rounds = pt.rounds.get("total") if pt.rounds else "-"
             comm = pt.comm.get("payload_bytes") if pt.comm else "-"
             step = pt.step + (" (env changed)" if pt.env_changed else "")

@@ -32,10 +32,11 @@ import numpy as np
 from repro import obs
 from repro.engine.gluon import TARGET_ALL_PROXIES, TARGET_IN_EDGES
 from repro.engine.partition import PartitionedGraph
+from repro.core.sampling import resolve_sources
 from repro.engine.stats import EngineRun
 from repro.graph.digraph import DiGraph
 from repro.runtime.arrays import ColumnBlock, HostArena, expand_csr
-from repro.runtime.plane import GluonArrayPlane, GluonPlane, resolve_partition
+from repro.runtime.plane import GluonArrayPlane, resolve_partition
 from repro.runtime.superstep import SuperstepRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,243 +78,20 @@ class SBBCResult:
         return self.total_rounds / self.sources.size
 
 
-class _SourceExecutor:
-    """One Brandes source on the engine."""
-
-    def __init__(
-        self,
-        pg: PartitionedGraph,
-        gluon: GluonPlane,
-        run: EngineRun,
-        source: int,
-    ) -> None:
-        self.pg = pg
-        self.gluon = gluon
-        self.run = run
-        self.source = source
-        self.H = pg.num_hosts
-        self.cand_dist = [
-            np.full(p.num_local, INF, dtype=np.int64) for p in pg.parts
-        ]
-        self.cand_sigma = [np.zeros(p.num_local) for p in pg.parts]
-        self.fin_dist = [np.full(p.num_local, INF, dtype=np.int64) for p in pg.parts]
-        self.fin_sigma = [np.zeros(p.num_local) for p in pg.parts]
-        self.dirty: list[np.ndarray] = [
-            np.zeros(p.num_local, dtype=bool) for p in pg.parts
-        ]
-        self.partial_delta = [np.zeros(p.num_local) for p in pg.parts]
-        self.delta_dirty = [np.zeros(p.num_local, dtype=bool) for p in pg.parts]
-        # Master-side settled state and dependency accumulators.
-        self.settled: dict[int, tuple[int, float]] = {}
-        self.delta: dict[int, float] = {}
-
-    def run_forward(self, runtime: "SuperstepRuntime | None" = None) -> int:
-        if runtime is None:
-            runtime = SuperstepRuntime(run=self.run)
-        pg, gluon = self.pg, self.gluon
-        s = self.source
-        rledger = obs.current().rounds
-        pending: list[list[tuple]] = [[] for _ in range(self.H)]
-        # Round 1 settles the source itself.
-        newly_settled: dict[int, tuple[int, float]] = {s: (0, 1.0)}
-
-        def step(rnd: int, rs) -> bool:
-            nonlocal pending, newly_settled
-            inbox = gluon.reduce_to_masters(pending, FWD_PAYLOAD_BYTES, 1, rs)
-            pending = [[] for _ in range(self.H)]
-            for h, items in enumerate(inbox):
-                oc = rs.compute[h]
-                for gid, _sender, d, sigma in items:
-                    oc.struct_ops += 1
-                    cur = self.settled.get(gid)
-                    fresh = newly_settled.get(gid)
-                    if cur is not None:
-                        assert d > cur[0], "late same-level contribution"
-                        continue  # redundant longer-path candidate
-                    if fresh is None:
-                        newly_settled[gid] = (d, sigma)
-                    else:
-                        assert fresh[0] == d, "level-synchrony violated"
-                        newly_settled[gid] = (d, fresh[1] + sigma)
-
-            fires: list[list[tuple]] = [[] for _ in range(self.H)]
-            for gid, (d, sigma) in newly_settled.items():
-                self.settled[gid] = (d, sigma)
-                h = int(pg.master_of[gid])
-                fires[h].append((gid, d, sigma))
-                rs.compute[h].vertex_ops += 1
-            if rledger is not None:
-                # Level-synchronous settling: this round's frontier is
-                # exactly the BFS level that settles in it.
-                level = sum(len(f) for f in fires)
-                rledger.note(
-                    frontier=level, settled=level, active_sources=1
-                )
-            newly_settled = {}
-
-            deliveries = gluon.broadcast_from_masters(
-                fires, TARGET_ALL_PROXIES, FWD_PAYLOAD_BYTES, 1, rs
-            )
-
-            any_activity = False
-            for h, items in enumerate(deliveries):
-                part = pg.parts[h]
-                oc = rs.compute[h]
-                fd, fsg = self.fin_dist[h], self.fin_sigma[h]
-                cd, csg = self.cand_dist[h], self.cand_sigma[h]
-                dirty = self.dirty[h]
-                for gid, d, sigma in items:
-                    lid = int(np.searchsorted(part.gids, gid))
-                    fd[lid] = d
-                    fsg[lid] = sigma
-                    nbrs = part.out_neighbors_local(lid)
-                    oc.vertex_ops += 1
-                    oc.edge_ops += nbrs.size
-                    if nbrs.size == 0:
-                        continue
-                    nd = d + 1
-                    # Suppress relaxations into already-settled proxies.
-                    open_mask = fd[nbrs] == INF
-                    tgt = nbrs[open_mask]
-                    if tgt.size == 0:
-                        continue
-                    better = nd < cd[tgt]
-                    equal = nd == cd[tgt]
-                    if np.any(better):
-                        t = tgt[better]
-                        cd[t] = nd
-                        csg[t] = sigma
-                        dirty[t] = True
-                        oc.struct_ops += int(better.sum())
-                    if np.any(equal):
-                        t = tgt[equal]
-                        csg[t] += sigma
-                        dirty[t] = True
-                        oc.struct_ops += int(equal.sum())
-
-            for h in range(self.H):
-                rows = np.nonzero(self.dirty[h])[0]
-                if rows.size:
-                    any_activity = True
-                    part = pg.parts[h]
-                    gids = part.gids[rows]
-                    cd = self.cand_dist[h][rows]
-                    csg = self.cand_sigma[h][rows]
-                    items = pending[h]
-                    for g, d, sg in zip(gids.tolist(), cd.tolist(), csg.tolist()):
-                        items.append((g, d, sg))
-                    self.dirty[h][:] = False
-
-            return any_activity
-
-        return runtime.run_loop("forward", step)
-
-    def run_backward(self, runtime: "SuperstepRuntime | None" = None) -> int:
-        if runtime is None:
-            runtime = SuperstepRuntime(run=self.run)
-        pg, gluon = self.pg, self.gluon
-        levels: dict[int, list[int]] = {}
-        max_level = 0
-        for gid, (d, _sg) in self.settled.items():
-            if gid == self.source:
-                continue
-            levels.setdefault(d, []).append(gid)
-            max_level = max(max_level, d)
-        self.delta = {gid: 0.0 for gid in self.settled}
-
-        rledger = obs.current().rounds
-        pending: list[list[tuple]] = [[] for _ in range(self.H)]
-
-        def step(rnd: int, rs) -> bool:
-            nonlocal pending
-            inbox = gluon.reduce_to_masters(pending, BWD_PAYLOAD_BYTES, 1, rs)
-            pending = [[] for _ in range(self.H)]
-            for h, items in enumerate(inbox):
-                oc = rs.compute[h]
-                for gid, _sender, pd in items:
-                    self.delta[gid] += pd
-                    oc.struct_ops += 1
-
-            level = max_level - rnd + 1
-            fires: list[list[tuple]] = [[] for _ in range(self.H)]
-            for gid in levels.get(level, ()):
-                d, sigma = self.settled[gid]
-                coeff = (1.0 + self.delta[gid]) / sigma
-                h = int(pg.master_of[gid])
-                fires[h].append((gid, coeff, d))
-                rs.compute[h].vertex_ops += 1
-
-            if rledger is not None:
-                # The reverse walk fires level max_level - rnd + 1 whole:
-                # each settled vertex's dependency finalizes exactly once.
-                fired = sum(len(f) for f in fires)
-                rledger.note(frontier=fired, settled=fired)
-
-            deliveries = gluon.broadcast_from_masters(
-                fires, TARGET_IN_EDGES, BWD_PAYLOAD_BYTES, 1, rs
-            )
-
-            for h, items in enumerate(deliveries):
-                part = pg.parts[h]
-                oc = rs.compute[h]
-                fd, fsg = self.fin_dist[h], self.fin_sigma[h]
-                for gid, coeff, d in items:
-                    lid = int(np.searchsorted(part.gids, gid))
-                    preds = part.in_neighbors_local(lid)
-                    oc.vertex_ops += 1
-                    oc.edge_ops += preds.size
-                    if preds.size == 0:
-                        continue
-                    is_pred = fd[preds] == d - 1
-                    if np.any(is_pred):
-                        tgt = preds[is_pred]
-                        self.partial_delta[h][tgt] += fsg[tgt] * coeff
-                        self.delta_dirty[h][tgt] = True
-                        oc.struct_ops += int(is_pred.sum())
-
-            any_dirty = False
-            for h in range(self.H):
-                rows = np.nonzero(self.delta_dirty[h])[0]
-                if rows.size:
-                    any_dirty = True
-                    part = pg.parts[h]
-                    gids = part.gids[rows]
-                    pd = self.partial_delta[h][rows]
-                    items = pending[h]
-                    for g, v in zip(gids.tolist(), pd.tolist()):
-                        items.append((g, v))
-                    self.partial_delta[h][rows] = 0.0
-                    self.delta_dirty[h][:] = False
-
-            return any_dirty
-
-        return runtime.run_loop("backward", step, min_rounds=max_level)
-
-    def collect(
-        self, dist_row: np.ndarray, sigma_row: np.ndarray, bc: np.ndarray
-    ) -> None:
-        """Bank this source's results into the engine accumulators."""
-        for gid, (d, sg) in self.settled.items():
-            dist_row[gid] = d
-            sigma_row[gid] = sg
-        for gid, dl in self.delta.items():
-            if gid != self.source:
-                bc[gid] += dl
-
-
 class _ArraySourceExecutor:
-    """One Brandes source on the columnar plane.
+    """One Brandes source on the engine.
 
-    The vectorized twin of :class:`_SourceExecutor`: per-source state
-    lives in a shared :class:`~repro.runtime.arrays.HostArena` (``k=1``
-    — one column) reset between sources, masters keep dense settled
-    arrays, and every step is an arena-wide sweep.
+    Per-source state lives in a shared
+    :class:`~repro.runtime.arrays.HostArena` (``k=1`` — one column) reset
+    between sources, masters keep dense settled arrays, and every step is
+    an arena-wide sweep.
 
-    Bit-exactness relies on SBBC's level synchrony: all deliveries in a
-    round carry the same BFS level, so every candidate cell sees one
-    assignment followed by ordered additions — ``np.add.at`` in item
-    order reproduces the dict plane's float sequences without any
-    per-cell replay.
+    The float results are fixed by SBBC's level synchrony: all
+    deliveries in a round carry the same BFS level, so every candidate
+    cell sees one assignment followed by additions in item order (host
+    ascending, then block position) — ``np.add.at`` in that order, with
+    no per-cell replay.  The goldens in
+    ``tests/test_plane_equivalence.py`` pin the resulting bytes.
     """
 
     def __init__(
@@ -335,7 +113,8 @@ class _ArraySourceExecutor:
         # Master-side settled state, dense over all vertices.
         self.settled_d = np.full(self.n, INF, dtype=np.int64)
         self.settled_sg = np.zeros(self.n, dtype=np.float64)
-        #: Settle order (the dict plane's insertion order), per round.
+        #: Settle order per round: the backward walk fires each level's
+        #: vertices in the order they settled.
         self._order: list[np.ndarray] = []
         self.delta = np.zeros(self.n, dtype=np.float64)
 
@@ -548,7 +327,7 @@ class _ArraySourceExecutor:
                 pd = np.concatenate(
                     [blk.cols[1] for _h, blk in got]
                 ).astype(np.float64, copy=False)
-                # Item-order accumulation — the dict plane's `+=` sequence.
+                # Accumulation in inbox order (host asc, item order within).
                 np.add.at(self.delta, gi, pd)
 
             level = max_level - rnd + 1
@@ -650,12 +429,12 @@ def sbbc_engine(
     partition: PartitionedGraph | None = None,
     resilience: "ResilienceContext | None" = None,
     recovery_policy: "RecoveryPolicy | str | None" = None,
-    plane: str = "dict",
 ) -> SBBCResult:
     """Run Synchronous-Brandes BC on the simulated engine.
 
     Processes one source at a time (the algorithm's defining property);
-    ``sources=None`` uses every vertex (exact BC).
+    ``sources=None`` uses every vertex (exact BC), and ids outside
+    ``[0, n)`` raise :class:`ValueError`.
 
     With a ``resilience`` context, channel faults from its plan are
     injected/guarded at the Gluon layer, and (in ``repair`` mode) an
@@ -669,37 +448,20 @@ def sbbc_engine(
     .RecoveryPolicy`: retry/backoff/deadline/restart budgets, and — when
     the policy degrades — per-source failure domains, with unrecoverable
     sources dropped and the completed ones salvaged into ``partial``.
-
-    ``plane`` selects the execution tier: ``"dict"`` (default) runs the
-    row-wise reference executor on :class:`~repro.runtime.plane
-    .GluonPlane`; ``"array"`` runs the vectorized columnar executor on
-    :class:`~repro.runtime.plane.GluonArrayPlane`, reusing one
-    :class:`~repro.runtime.arrays.HostArena` across sources.  Both tiers
-    produce bit-identical results and identical ledger counts.
     """
     from repro.resilience.supervisor import attach_policy
 
     pg = resolve_partition(g, partition, num_hosts, policy)
-    if sources is None:
-        src = np.arange(g.num_vertices, dtype=np.int64)
-    else:
-        src = np.asarray(sources, dtype=np.int64).ravel()
-    if src.size == 0:
-        raise ValueError("need at least one source")
+    src = resolve_sources(sources, g.num_vertices)
 
     resilience, supervisor = attach_policy(resilience, recovery_policy)
     n = g.num_vertices
-    arena: HostArena | None = None
-    if plane == "dict":
-        plane_obj = GluonPlane(pg, resilience=resilience)
-    elif plane == "array":
-        plane_obj = GluonArrayPlane(pg, resilience=resilience)
-        # One arena for the whole run: topology (LUT + stitched CSRs) is
-        # source-independent; only the state columns reset per source.
-        arena = HostArena(pg.parts, 1, n)
-    else:
-        raise ValueError(f"unknown plane {plane!r} (expected 'dict' or 'array')")
-    runtime = SuperstepRuntime(plane=plane_obj, resilience=resilience)
+    # One arena for the whole run: topology (LUT + stitched CSRs) is
+    # source-independent; only the state columns reset per source.
+    arena = HostArena(pg.parts, 1, n)
+    runtime = SuperstepRuntime(
+        plane=GluonArrayPlane(pg, resilience=resilience), resilience=resilience
+    )
     gluon = runtime.plane
     run = runtime.run
     bc = np.zeros(n, dtype=np.float64)
@@ -712,9 +474,7 @@ def sbbc_engine(
         # in-flight source replays from scratch (redone rounds are
         # charged to the recovery phase by the runtime policy).
         def prepare(attempt: int, s: int = int(s)):
-            if arena is not None:
-                return _ArraySourceExecutor(pg, gluon, run, s, arena)
-            return _SourceExecutor(pg, gluon, run, s)
+            return _ArraySourceExecutor(pg, gluon, run, s, arena)
 
         def both_phases(ex, s: int = int(s)) -> tuple[int, int]:
             with runtime.phase("forward", source=s):

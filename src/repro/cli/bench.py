@@ -34,11 +34,6 @@ def bench_main(argv: list[str]) -> int:
                    help="untimed warmup runs per case (default: 1)")
     p.add_argument("--cases", metavar="SUBSTR", default=None,
                    help="only run cases whose name contains SUBSTR")
-    p.add_argument("--plane", choices=("dict", "array", "both"), default="dict",
-                   help="execution tier: dict (reference), array (columnar "
-                        "twins named <case>@array), or both — with both, "
-                        "each array case records its speedup_vs_dict "
-                        "(default: dict)")
     p.add_argument("--out", "-o", default=None, metavar="PATH",
                    help="snapshot path (default: <repo root>/BENCH_<sha>.json)")
     p.add_argument("--compare", metavar="BASELINE", default=None,
@@ -59,7 +54,6 @@ def bench_main(argv: list[str]) -> int:
         suite = tuple(c for c in suite if args.cases in c.name)
         if not suite:
             p.error(f"no bench case name contains {args.cases!r}")
-    suite = bench.expand_planes(suite, args.plane)
 
     doc = bench.run_suite(
         suite,
@@ -86,14 +80,12 @@ def bench_main(argv: list[str]) -> int:
             f"{c['deterministic']['sim_total_s']:.5f}",
             f"{c['wall_s']['median']:.4f}",
             f"{c['wall_s']['iqr']:.4f}",
-            (f"{c['wall_s']['speedup_vs_dict']:.2f}x"
-             if "speedup_vs_dict" in c["wall_s"] else "-"),
         ]
         for c in doc["cases"]
     ]
     print(format_table(
         ["case", "rounds", "bytes", "msgs", "sim (s)",
-         "wall p50 (s)", "IQR (s)", "vs dict"],
+         "wall p50 (s)", "IQR (s)"],
         rows,
         title=f"bench suite: {suite_name} ({args.repeats} repeats, "
               f"sha {(doc['git_sha'] or 'nogit')[:12]})",

@@ -31,9 +31,7 @@ def _run_with_ledger(args, g, sources):
         from repro.baselines.sbbc import sbbc_engine
 
         with obs.session(comm=ledger):
-            sbbc_engine(
-                g, sources=sources, num_hosts=args.hosts, plane=args.plane
-            )
+            sbbc_engine(g, sources=sources, num_hosts=args.hosts)
     else:
         from repro.core.mrbc import mrbc_engine
 
@@ -43,7 +41,6 @@ def _run_with_ledger(args, g, sources):
                 sources=sources,
                 batch_size=args.batch,
                 num_hosts=args.hosts,
-                plane=args.plane,
             )
     return ledger
 
@@ -134,9 +131,6 @@ def comm_main(argv: list[str]) -> int:
     p.add_argument("--hosts", type=int, default=4, help="simulated hosts")
     p.add_argument("--batch", type=int, default=8, help="MRBC batch size")
     p.add_argument("--seed", type=int, default=7, help="sampling seed")
-    p.add_argument("--plane", choices=("dict", "array"), default="dict",
-                   help="engine execution tier for mrbc/sbbc (the ledger "
-                        "counts are identical by contract; default: dict)")
     p.add_argument("--check", action="store_true",
                    help="run predicted-vs-measured conformance checks "
                         "(exit code is the verdict)")
@@ -173,9 +167,7 @@ def comm_main(argv: list[str]) -> int:
         )
 
         if args.graph is None:
-            from dataclasses import replace
-
-            cases = [replace(c, plane=args.plane) for c in DEFAULT_CHECK_SUITE]
+            cases = list(DEFAULT_CHECK_SUITE)
         else:
             cases = [CommCheckCase(
                 name=f"{args.algorithm}-{args.graph}",
@@ -185,7 +177,6 @@ def comm_main(argv: list[str]) -> int:
                 sources=args.sources,
                 batch=args.batch,
                 seed=args.seed,
-                plane=args.plane,
             )]
         report = run_conformance(
             cases, progress=lambda c: log.info("checking %s ...", c.name)

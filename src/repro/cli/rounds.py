@@ -26,9 +26,7 @@ def _run_with_ledger(args, g, sources):
         from repro.baselines.sbbc import sbbc_engine
 
         with obs.session(rounds=ledger):
-            sbbc_engine(
-                g, sources=sources, num_hosts=args.hosts, plane=args.plane
-            )
+            sbbc_engine(g, sources=sources, num_hosts=args.hosts)
     else:
         from repro.core.mrbc import mrbc_engine
 
@@ -38,7 +36,6 @@ def _run_with_ledger(args, g, sources):
                 sources=sources,
                 batch_size=args.batch,
                 num_hosts=args.hosts,
-                plane=args.plane,
             )
     return ledger
 
@@ -128,9 +125,6 @@ def rounds_main(argv: list[str]) -> int:
     p.add_argument("--hosts", type=int, default=4, help="simulated hosts")
     p.add_argument("--batch", type=int, default=4, help="source batch size")
     p.add_argument("--seed", type=int, default=7, help="sampling seed")
-    p.add_argument("--plane", choices=("dict", "array"), default="dict",
-                   help="engine execution tier for mrbc/sbbc (the round "
-                        "ledger is identical by contract; default: dict)")
     p.add_argument("--check", action="store_true",
                    help="run predicted-vs-measured round-bound checks "
                         "(exit code is the verdict)")
@@ -161,10 +155,7 @@ def rounds_main(argv: list[str]) -> int:
         if args.graph is None:
             from dataclasses import replace
 
-            cases = [
-                replace(c, slack=slack, plane=args.plane)
-                for c in DEFAULT_ROUND_SUITE
-            ]
+            cases = [replace(c, slack=slack) for c in DEFAULT_ROUND_SUITE]
         else:
             cases = [RoundCheckCase(
                 name=f"{args.algorithm}-{args.graph}",
@@ -175,7 +166,6 @@ def rounds_main(argv: list[str]) -> int:
                 batch=args.batch,
                 seed=args.seed,
                 slack=slack,
-                plane=args.plane,
             )]
         report = run_conformance(
             cases, progress=lambda c: log.info("checking %s ...", c.name)

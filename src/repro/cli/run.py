@@ -32,7 +32,6 @@ def _run_one(
     sources: np.ndarray,
     hosts: int,
     batch: int,
-    plane: str = "dict",
 ) -> tuple[np.ndarray, dict[str, object]]:
     model = ClusterModel(hosts)
     if algo == "brandes":
@@ -51,11 +50,9 @@ def _run_one(
         }
     pg = partition_graph(g, hosts, "cvc")
     if algo == "sbbc":
-        res = sbbc_engine(g, sources=sources, partition=pg, plane=plane)
+        res = sbbc_engine(g, sources=sources, partition=pg)
     else:
-        res = mrbc_engine(
-            g, sources=sources, batch_size=batch, partition=pg, plane=plane
-        )
+        res = mrbc_engine(g, sources=sources, batch_size=batch, partition=pg)
     return res.bc, {
         "rounds": res.total_rounds,
         "time (s)": f"{model.time_run(res.run).total:.5f}",
@@ -81,10 +78,6 @@ def run_main(argv: list[str]) -> int:
                    help="number of sampled sources (default: all vertices)")
     p.add_argument("--hosts", type=int, default=8, help="simulated hosts")
     p.add_argument("--batch", type=int, default=16, help="MRBC batch size")
-    p.add_argument("--plane", choices=("dict", "array"), default="dict",
-                   help="engine execution tier for mrbc/sbbc: dict "
-                        "(row-wise reference) or array (vectorized "
-                        "columnar; bit-identical results, default: dict)")
     p.add_argument("--top", type=int, default=10,
                    help="print this many top-BC vertices")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
@@ -106,9 +99,7 @@ def run_main(argv: list[str]) -> int:
     bc_by_algo: dict[str, np.ndarray] = {}
     for algo in args.algorithm:
         log.debug("running %s on %d sources", algo, sources.size)
-        bc, stats = _run_one(
-            algo, g, sources, args.hosts, args.batch, plane=args.plane
-        )
+        bc, stats = _run_one(algo, g, sources, args.hosts, args.batch)
         bc_by_algo[algo] = bc
         rows.append([algo, len(sources), stats["rounds"], stats["time (s)"]])
     print(format_table(["algorithm", "sources", "rounds", "time (s)"], rows))

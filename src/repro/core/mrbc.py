@@ -36,7 +36,6 @@ vertex ``v`` fires its dependency broadcast for source ``s`` in round
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,7 +43,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.batching import iter_batches
-from repro.core.sampling import sample_sources
+from repro.core.sampling import resolve_sources, sample_sources
 from repro.engine.gluon import TARGET_ALL_PROXIES, TARGET_IN_EDGES
 from repro.engine.partition import PartitionedGraph
 from repro.engine.stats import EngineRun, RoundStats
@@ -61,7 +60,7 @@ from repro.runtime.arrays import (
     RowStateView,
     expand_csr,
 )
-from repro.runtime.plane import GluonArrayPlane, GluonPlane, resolve_partition
+from repro.runtime.plane import GluonArrayPlane, resolve_partition
 from repro.runtime.superstep import SuperstepRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -79,14 +78,25 @@ BWD_PAYLOAD_BYTES = 12
 
 
 class MasterVertexState:
-    """Authoritative ``L_v`` at a master, with per-host contributions.
+    """Row form of one master's authoritative ``L_v`` state.
 
-    Each contributing host ``h`` reports its best local candidate
-    ``(d_h, σ_h)`` where ``σ_h`` sums shortest paths arriving over
-    ``h``-local in-edges.  The authoritative value is
-    ``d* = min_h d_h`` and ``σ* = Σ_{h: d_h = d*} σ_h`` — every in-edge of
-    the vertex lives on exactly one host, so this counts each predecessor
-    contribution once.
+    The engine keeps master state in
+    :class:`~repro.runtime.arrays.MasterColumns`; this row form is what
+    forward checkpoints store and the resilience invariant checker reads
+    (``MasterColumns.to_rows``/``from_rows`` convert).  Per batch source
+    index ``si``:
+
+    - ``entries`` — the sorted ``(d, si)`` list; the first
+      ``sent_prefix`` entries have fired;
+    - ``contrib[si][h]`` — host ``h``'s best local candidate
+      ``(d_h, σ_h)``, where ``σ_h`` sums shortest paths arriving over
+      ``h``-local in-edges (a batch source's own seed ``(0, 1)`` is the
+      virtual host −1);
+    - ``best[si]`` — the authoritative ``(d*, σ*)`` with
+      ``d* = min_h d_h`` and ``σ* = Σ_{h: d_h = d*} σ_h`` — every in-edge
+      of the vertex lives on exactly one host, so this counts each
+      predecessor contribution once;
+    - ``tau[si]`` — the round the entry fired, ``d + position + 1``.
     """
 
     __slots__ = ("entries", "best", "contrib", "tau", "sent_prefix")
@@ -97,88 +107,6 @@ class MasterVertexState:
         self.contrib: dict[int, dict[int, tuple[int, float]]] = {}
         self.tau: dict[int, int] = {}
         self.sent_prefix = 0
-
-    def initialize_source(self, si: int) -> None:
-        """Seed the list with ``(0, si)`` — this master is a batch source."""
-        self.entries.append((0, si))
-        self.best[si] = (0, 1.0)
-        # Recorded as a virtual contribution (host −1) so that later real
-        # contributions can never displace the source's own zero distance.
-        self.contrib[si] = {-1: (0, 1.0)}
-
-    def apply_contribution(self, si: int, host: int, d: int, sigma: float) -> None:
-        """Merge one reduced candidate into the authoritative state."""
-        per_host = self.contrib.setdefault(si, {})
-        old = per_host.get(host)
-        if old is not None and old[0] < d:
-            return  # stale (the host already reported something better)
-        per_host[host] = (d, sigma)
-        d_star = min(dh for dh, _ in per_host.values())
-        sigma_star = sum(sg for dh, sg in per_host.values() if dh == d_star)
-        cur = self.best.get(si)
-        if cur is None:
-            pos = bisect_left(self.entries, (d_star, si))
-            assert pos >= self.sent_prefix, "insertion below sent prefix"
-            self.entries.insert(pos, (d_star, si))
-        elif d_star < cur[0]:
-            old_pos = bisect_left(self.entries, (cur[0], si))
-            assert old_pos >= self.sent_prefix, "replacing a fired entry"
-            del self.entries[old_pos]
-            pos = bisect_left(self.entries, (d_star, si))
-            assert pos >= self.sent_prefix, "replacement below sent prefix"
-            self.entries.insert(pos, (d_star, si))
-        elif d_star == cur[0] and sigma_star != cur[1]:
-            pos = bisect_left(self.entries, (d_star, si))
-            assert pos >= self.sent_prefix, "sigma update after fire"
-        self.best[si] = (d_star, sigma_star)
-
-    def next_fire(self, rnd: int) -> tuple[int, int, float] | None:
-        """Entry due to fire in ``rnd``: ``(d, si, σ)``, or None.
-
-        Same prefix logic as the CONGEST implementation: send rounds are
-        strictly increasing along the list, so fired entries form a stable
-        prefix.
-        """
-        if self.sent_prefix >= len(self.entries):
-            return None
-        d, si = self.entries[self.sent_prefix]
-        due = d + self.sent_prefix + 1
-        if due == rnd:
-            self.sent_prefix += 1
-            self.tau[si] = rnd
-            return d, si, self.best[si][1]
-        assert due > rnd, f"missed fire: entry {(d, si)} was due in round {due}"
-        return None
-
-    def all_fired(self) -> bool:
-        """True when every current entry has fired."""
-        return self.sent_prefix == len(self.entries)
-
-
-@dataclass
-class HostState:
-    """Per-host dense arrays for one batch (the §4.3 label layout)."""
-
-    #: Local candidate distances / path counts (mirror-side accumulation).
-    cand_dist: np.ndarray
-    cand_sigma: np.ndarray
-    #: Finalized values received via broadcast (needed for relaxation and
-    #: for the backward phase's predecessor test).
-    fin_dist: np.ndarray
-    fin_sigma: np.ndarray
-    #: Dirty flags for candidates to reduce at the next sync.
-    dirty: np.ndarray
-    #: Backward-phase partial dependency accumulator (flushed every round).
-    partial_delta: np.ndarray
-    delta_dirty: np.ndarray
-    #: Delayed-sync bookkeeping: per local vertex, the lexicographically
-    #: sorted list of candidate ``(d, si)`` pairs (the proxy's local
-    #: ``L_v``), and per (lid, si) the distance at which the candidate was
-    #: last reduced to the master (−1 = never).
-    local_lists: dict[int, list[tuple[int, int]]] = None  # type: ignore[assignment]
-    sent_d: np.ndarray = None  # type: ignore[assignment]
-    #: Local vertices that still have unsent candidate pairs.
-    unsent: set[int] = None  # type: ignore[assignment]
 
 
 @dataclass
@@ -210,410 +138,36 @@ class MRBCEngineResult:
         return self.total_rounds / self.sources.size
 
 
-class _BatchExecutor:
-    """Runs one k-source batch (forward + backward) on the engine."""
-
-    def __init__(
-        self,
-        pg: PartitionedGraph,
-        gluon: GluonPlane,
-        run: EngineRun,
-        batch: np.ndarray,
-        delayed_sync: bool,
-        resilience: "ResilienceContext | None" = None,
-    ) -> None:
-        self.pg = pg
-        self.gluon = gluon
-        self.run = run
-        self.batch = batch
-        self.k = batch.size
-        self.delayed_sync = delayed_sync
-        self.H = pg.num_hosts
-        #: Second line of defense behind the channel guard: per-round
-        #: verification of the master state the correctness lemmas rely on.
-        self.checker = (
-            resilience.new_invariant_checker() if resilience is not None else None
-        )
-
-        self.hosts: list[HostState] = []
-        for part in pg.parts:
-            L = part.num_local
-            shape = (L, self.k)
-            self.hosts.append(
-                HostState(
-                    cand_dist=np.full(shape, INF, dtype=np.int64),
-                    cand_sigma=np.zeros(shape, dtype=np.float64),
-                    fin_dist=np.full(shape, INF, dtype=np.int64),
-                    fin_sigma=np.zeros(shape, dtype=np.float64),
-                    dirty=np.zeros(shape, dtype=bool),
-                    partial_delta=np.zeros(shape, dtype=np.float64),
-                    delta_dirty=np.zeros(shape, dtype=bool),
-                    local_lists={},
-                    sent_d=np.full(shape, -1, dtype=np.int64),
-                    unsent=set(),
-                )
-            )
-
-        # Master states, keyed by gid, living on master_of[gid].
-        self.masters: dict[int, MasterVertexState] = {}
-        for si, s in enumerate(batch):
-            ms = self.masters.setdefault(int(s), MasterVertexState())
-            ms.initialize_source(si)
-        self.delta: dict[int, np.ndarray] = {}
-
-    def _master(self, gid: int) -> MasterVertexState:
-        ms = self.masters.get(gid)
-        if ms is None:
-            ms = MasterVertexState()
-            self.masters[gid] = ms
-        return ms
-
-    # -- forward phase ---------------------------------------------------------
-
-    def _update_local_list(
-        self, st: HostState, lid: int, si: int, old_d: int, new_d: int
-    ) -> None:
-        """Maintain the proxy's sorted local pair list on a candidate update."""
-        lst = st.local_lists.get(lid)
-        if lst is None:
-            lst = st.local_lists[lid] = []
-        if old_d != INF and old_d != new_d:
-            i = bisect_left(lst, (old_d, si))
-            if i < len(lst) and lst[i] == (old_d, si):
-                del lst[i]
-        if old_d != new_d:
-            lst.insert(bisect_left(lst, (new_d, si)), (new_d, si))
-        st.unsent.add(lid)
-
-    def _stage_delayed(
-        self, rnd: int, pending_reduce: list[list[tuple]], rs: RoundStats
-    ) -> bool:
-        """Delayed synchronization (§4.3): reduce a proxy's ``(d, σ)`` label
-        to the master only once its local pipelining condition
-        ``r >= d + position`` holds — one reduce per (vertex, source) per
-        host unless the value changes after it was sent.
-        Returns whether anything is staged or still unsent."""
-        any_work = False
-        for h, st in enumerate(self.hosts):
-            part = self.pg.parts[h]
-            items = pending_reduce[h]
-            oc = rs.compute[h]
-            done: list[int] = []
-            for lid in sorted(st.unsent):
-                lst = st.local_lists[lid]
-                gid = int(part.gids[lid])
-                all_sent = True
-                # Flat-map lookup: the per-round schedule evaluation is
-                # the data-structure overhead §4.3/Figure 2 attribute to
-                # MRBC (one map probe per pending vertex per round).
-                oc.struct_ops += 1
-                for pos, (d, si) in enumerate(lst):
-                    if d + pos + 1 > rnd + 1:
-                        # Due rounds are increasing along the list; the
-                        # rest is not due yet.
-                        if any(
-                            st.sent_d[lid, si2] != d2 for d2, si2 in lst[pos:]
-                        ):
-                            all_sent = False
-                        break
-                    if st.sent_d[lid, si] != d:
-                        items.append((gid, si, d, float(st.cand_sigma[lid, si])))
-                        st.sent_d[lid, si] = d
-                if all_sent:
-                    done.append(lid)
-            for lid in done:
-                st.unsent.discard(lid)
-            if items or st.unsent:
-                any_work = True
-        return any_work
-
-    def _stage_eager(self, pending_reduce: list[list[tuple]]) -> bool:
-        """Ablation path: reduce every updated candidate every round."""
-        any_dirty = False
-        for h, st in enumerate(self.hosts):
-            part = self.pg.parts[h]
-            rows, cols = np.nonzero(st.dirty)
-            if rows.size:
-                any_dirty = True
-                gids = part.gids[rows]
-                items = pending_reduce[h]
-                cd = st.cand_dist[rows, cols]
-                cs = st.cand_sigma[rows, cols]
-                for g, si, d, sg in zip(
-                    gids.tolist(), cols.tolist(), cd.tolist(), cs.tolist()
-                ):
-                    items.append((g, si, d, sg))
-                st.dirty[:] = False
-        return any_dirty
-
-    def run_forward(self, runtime: "SuperstepRuntime | None" = None) -> int:
-        if runtime is None:
-            runtime = SuperstepRuntime(run=self.run)
-        pg, gluon = self.pg, self.gluon
-        rledger = obs.current().rounds
-        pending_reduce: list[list[tuple]] = [[] for _ in range(self.H)]
-
-        def step(rnd: int, rs: RoundStats) -> bool:
-            nonlocal pending_reduce
-
-            # -- sync: reduce candidates, then evaluate fires at masters.
-            inbox = gluon.reduce_to_masters(
-                pending_reduce, FWD_PAYLOAD_BYTES, self.k, rs
-            )
-            pending_reduce = [[] for _ in range(self.H)]
-            for h, items in enumerate(inbox):
-                oc = rs.compute[h]
-                for gid, sender, si, d, sigma in items:
-                    self._master(gid).apply_contribution(si, sender, d, sigma)
-                    oc.struct_ops += 2  # flat-map lookup + update
-
-            fires: list[list[tuple]] = [[] for _ in range(self.H)]
-            any_pending = False
-            for gid, ms in self.masters.items():
-                h = int(pg.master_of[gid])
-                due = ms.next_fire(rnd)
-                if due is not None:
-                    d, si, sigma = due
-                    fires[h].append((gid, si, d, sigma))
-                    rs.compute[h].struct_ops += 1
-                if not ms.all_fired():
-                    any_pending = True
-
-            if self.checker is not None:
-                self.checker.check_master_round(rnd, self.masters)
-
-            if rledger is not None:
-                # Round-complexity state: a forward fire settles one
-                # (v, s) pair; unfired schedule entries are the stage
-                # occupancy behind Alg. 3's stable-prefix argument, and
-                # ``unsent`` is the delayed-sync staging depth (§4.3).
-                fired = sum(len(f) for f in fires)
-                entries = 0
-                sent = 0
-                active_si: set[int] = set()
-                for ms in self.masters.values():
-                    entries += len(ms.entries)
-                    sent += ms.sent_prefix
-                    for _d, si in ms.entries[ms.sent_prefix:]:
-                        active_si.add(si)
-                rledger.note(
-                    frontier=fired,
-                    settled=fired,
-                    active_sources=len(active_si),
-                    stage_entries=entries,
-                    stage_fired=sent,
-                    stage_depth=sum(len(st.unsent) for st in self.hosts),
-                )
-
-            # Finalized labels broadcast to every proxy, as Gluon does —
-            # out-edge hosts relax, candidate-holding hosts learn the
-            # final value (suppressing stale longer-path reductions).
-            deliveries = gluon.broadcast_from_masters(
-                fires, TARGET_ALL_PROXIES, FWD_PAYLOAD_BYTES, self.k, rs
-            )
-
-            # -- compute: relax local out-edges of fired vertices.
-            for h, items in enumerate(deliveries):
-                part = pg.parts[h]
-                st = self.hosts[h]
-                oc = rs.compute[h]
-                for gid, si, d, sigma in items:
-                    lid = int(np.searchsorted(part.gids, gid))
-                    st.fin_dist[lid, si] = d
-                    st.fin_sigma[lid, si] = sigma
-                    if self.delayed_sync:
-                        # The broadcast value supersedes this host's own
-                        # candidate: record it as already synchronized.  A
-                        # worse local candidate can never become a valid
-                        # min-distance contribution (every predecessor at
-                        # d-1 fired before v), so its σ is dropped.
-                        old = int(st.cand_dist[lid, si])
-                        if old != INF:
-                            self._update_local_list(st, lid, si, old, d)
-                            if old > d:
-                                st.cand_dist[lid, si] = d
-                                st.cand_sigma[lid, si] = 0.0
-                        st.sent_d[lid, si] = d
-                        oc.struct_ops += 1  # local-list reconciliation
-                    nbrs = part.out_neighbors_local(lid)
-                    oc.vertex_ops += 1
-                    oc.edge_ops += nbrs.size
-                    if nbrs.size == 0:
-                        continue
-                    nd = d + 1
-                    cd = st.cand_dist[nbrs, si]
-                    # Suppress relaxations the finalized value already beats.
-                    open_mask = st.fin_dist[nbrs, si] >= nd
-                    better = (nd < cd) & open_mask
-                    equal = (nd == cd) & open_mask
-                    if np.any(better):
-                        tgt = nbrs[better]
-                        old_ds = st.cand_dist[tgt, si].tolist()
-                        st.cand_dist[tgt, si] = nd
-                        st.cand_sigma[tgt, si] = sigma
-                        st.dirty[tgt, si] = True
-                        oc.struct_ops += int(better.sum())
-                        if self.delayed_sync:
-                            oc.struct_ops += int(better.sum())  # list upkeep
-                            for w, od in zip(tgt.tolist(), old_ds):
-                                self._update_local_list(st, w, si, od, nd)
-                    if np.any(equal):
-                        tgt = nbrs[equal]
-                        st.cand_sigma[tgt, si] += sigma
-                        st.dirty[tgt, si] = True
-                        oc.struct_ops += int(equal.sum())
-                        if self.delayed_sync:
-                            for w in tgt.tolist():
-                                # σ grew at the same distance: if the label
-                                # was already reduced, it must be re-sent
-                                # (rare; see module docstring).
-                                if st.sent_d[w, si] == nd:
-                                    st.sent_d[w, si] = -1
-                                st.unsent.add(w)
-
-            # -- stage reductions for the next round's sync.
-            if self.delayed_sync:
-                for st in self.hosts:
-                    st.dirty[:] = False
-                any_work = self._stage_delayed(rnd, pending_reduce, rs)
-            else:
-                any_work = self._stage_eager(pending_reduce)
-
-            return any_work or any_pending
-
-        return runtime.run_loop("forward", step)
-
-    # -- backward phase ----------------------------------------------------------
-
-    def run_backward(self, runtime: "SuperstepRuntime | None" = None) -> int:
-        if runtime is None:
-            runtime = SuperstepRuntime(run=self.run)
-        pg, gluon = self.pg, self.gluon
-        R = max((max(ms.tau.values()) for ms in self.masters.values() if ms.tau), default=1)
-        # Fire schedule per master: round -> list of source idx.
-        schedule: dict[int, dict[int, int]] = {}
-        for gid, ms in self.masters.items():
-            for si, tau in ms.tau.items():
-                if int(self.batch[si]) == gid:
-                    continue  # the source itself has no predecessors
-                schedule.setdefault(gid, {})[R - tau + 1] = si
-            self.delta[gid] = np.zeros(self.k, dtype=np.float64)
-        # Sources with no schedule entry still need delta rows for output.
-        for gid in self.masters:
-            self.delta.setdefault(gid, np.zeros(self.k, dtype=np.float64))
-
-        pending_reduce: list[list[tuple]] = [[] for _ in range(self.H)]
-        rledger = obs.current().rounds
-
-        def step(rnd: int, rs: RoundStats) -> bool:
-            nonlocal pending_reduce
-
-            # -- sync: reduce partial dependencies, then fire broadcasts.
-            inbox = gluon.reduce_to_masters(
-                pending_reduce, BWD_PAYLOAD_BYTES, self.k, rs
-            )
-            pending_reduce = [[] for _ in range(self.H)]
-            for h, items in enumerate(inbox):
-                oc = rs.compute[h]
-                for gid, _sender, si, pd in items:
-                    self.delta[gid][si] += pd
-                    oc.struct_ops += 1
-
-            fires: list[list[tuple]] = [[] for _ in range(self.H)]
-            for gid, by_round in schedule.items():
-                si = by_round.get(rnd)
-                if si is None:
-                    continue
-                ms = self.masters[gid]
-                d, sigma = ms.best[si]
-                m = (1.0 + self.delta[gid][si]) / sigma
-                h = int(pg.master_of[gid])
-                fires[h].append((gid, si, m, d))
-                rs.compute[h].struct_ops += 1
-
-            if rledger is not None:
-                # A backward fire finalizes one (v, s) dependency; the
-                # reverse schedule A_sv = R - tau_sv + 1 fires each
-                # exactly once, so the settled series sums to the
-                # schedule size.
-                fired = sum(len(f) for f in fires)
-                rledger.note(frontier=fired, settled=fired)
-
-            deliveries = gluon.broadcast_from_masters(
-                fires, TARGET_IN_EDGES, BWD_PAYLOAD_BYTES, self.k, rs
-            )
-
-            # -- compute: credit local predecessors.
-            for h, items in enumerate(deliveries):
-                part = pg.parts[h]
-                st = self.hosts[h]
-                oc = rs.compute[h]
-                for gid, si, m, d in items:
-                    lid = int(np.searchsorted(part.gids, gid))
-                    preds = part.in_neighbors_local(lid)
-                    oc.vertex_ops += 1
-                    oc.edge_ops += preds.size
-                    if preds.size == 0:
-                        continue
-                    is_pred = st.fin_dist[preds, si] == d - 1
-                    if np.any(is_pred):
-                        tgt = preds[is_pred]
-                        st.partial_delta[tgt, si] += st.fin_sigma[tgt, si] * m
-                        st.delta_dirty[tgt, si] = True
-                        oc.struct_ops += int(is_pred.sum())
-
-            # -- stage dirty partials (flushed, delta-style).
-            any_dirty = False
-            for h, st in enumerate(self.hosts):
-                part = pg.parts[h]
-                rows, cols = np.nonzero(st.delta_dirty)
-                if rows.size:
-                    any_dirty = True
-                    gids = part.gids[rows]
-                    pd = st.partial_delta[rows, cols]
-                    items = pending_reduce[h]
-                    for g, si, v in zip(gids.tolist(), cols.tolist(), pd.tolist()):
-                        items.append((g, si, v))
-                    st.partial_delta[rows, cols] = 0.0
-                    st.delta_dirty[:] = False
-
-            return any_dirty
-
-        return runtime.run_loop("backward", step, min_rounds=R)
-
-    # -- uniform executor interface (shared with the array twin) -----------
-
-    def flatmap_entry_counts(self) -> list[int]:
-        """Per master, |L_v| — the flat-map occupancy histogram input."""
-        return [len(ms.entries) for ms in self.masters.values()]
-
-
 class _ArrayBatchExecutor:
-    """Columnar twin of :class:`_BatchExecutor` (``plane="array"``).
+    """Runs one k-source batch (forward + backward) on the engine.
 
-    Replaces the per-vertex dicts with the dense state in
-    :mod:`repro.runtime.arrays` and each per-item Python loop with a
-    whole-column sweep, while producing *byte-identical* engine counts,
-    ledger entries and floating-point results.  The contract rests on
-    three structural facts about the dict plane:
+    Per-proxy state is the dense §4.3 layout of
+    :class:`~repro.runtime.arrays.HostArena` (every host's proxy rows in
+    one arena), master state is
+    :class:`~repro.runtime.arrays.MasterColumns`, and every step is a
+    whole-column sweep over all hosts' items.  Three rules fix the
+    engine counts, ledger entries and floating-point results down to the
+    bit; the golden signatures and output digests in
+    ``tests/test_plane_equivalence.py`` pin them:
 
-    - **Derived local lists** — a proxy's sorted ``(d, si)`` list always
-      equals the sorted view of its candidate-distance row (a candidate
-      is never displaced to a worse distance), so delayed-sync staging
-      recomputes the due prefix from ``cand_dist`` each round instead of
-      maintaining lists incrementally.
-    - **Per-cell sequencing** — within one relax sweep, items interact
-      only through per-``(vertex, source)`` cells.  Cells touched by a
-      single event this round (the vast majority) are handled with array
-      ops; multi-event cells replay the dict plane's exact per-item
-      order via an event sort (``lexsort`` on (cell, item, kind)).
-    - **Order-pinned masters** — everywhere the dict plane depends on
-      dict insertion order (fire emission, backward schedule, banking),
-      ``MasterColumns.master_seq`` reproduces it explicitly.
+    - **Derived local lists** — a proxy's sorted ``(d, si)`` pair list
+      is the sorted view of its candidate-distance row (a candidate is
+      never displaced to a worse distance), so delayed-sync staging
+      recomputes the due prefix from ``cand_dist`` each round.
+    - **Per-cell item order** — within one relax sweep, delivery items
+      interact only through per-``(vertex, source)`` cells, and each
+      cell applies its events in item order (host ascending, then
+      position in the host's delivery block; an item's own finalize
+      event before its relaxations).  Cells with one event this round
+      take the array path; multi-event cells are replayed in that order
+      after an event sort on (cell, item, kind).
+    - **Master registration order** — fire emission, the backward
+      schedule and BC banking visit masters in first-registration order
+      (``MasterColumns.master_seq``).
 
     σ path counts are integers in float64, so reassociated sums are
-    exact; δ accumulations use ``np.add.at`` with events in the dict
-    plane's order, making them bit-identical too.
+    exact below 2⁵³; δ accumulations use ``np.add.at`` with events in
+    (host, item, predecessor) order.
     """
 
     def __init__(
@@ -657,13 +211,15 @@ class _ArrayBatchExecutor:
     def _apply_forward_inbox(self, inbox, rs: RoundStats) -> None:
         """Merge reduced candidates into the master columns.
 
-        Vectorized form of ``apply_contribution`` over all inbox items:
-        the per-host stale filter touches only each sender's own past
-        contribution, and (sender, si, gid) keys are unique within a
-        fault-free round, so a scatter write is exact; the authoritative
-        ``(d*, σ*)`` is then recomputed once per touched cell (the dict
-        plane recomputes per item, but the final state is a pure
-        function of the contribution table).
+        A host's report replaces its previous one for the same cell
+        unless it is worse (stale).  The per-host stale filter touches
+        only each sender's own past contribution, and (sender, si, gid)
+        keys are unique within a fault-free round, so a scatter write is
+        exact; the authoritative ``(d*, σ*)`` (see
+        :class:`MasterVertexState`) is then recomputed once per touched
+        cell, a pure function of the contribution table.  A fired entry
+        must never change: all of its σ contributions arrive before its
+        fire round.
         """
         M = self.masters
         present = [
@@ -702,8 +258,12 @@ class _ArrayBatchExecutor:
         sig_star = np.where(
             sub_d == d_star, M.contrib_sigma[:, si_u, g_u], 0.0
         ).sum(axis=0)
-        fired_worse = M.fired[si_u, g_u] & (d_star < M.ent_d[si_u, g_u])
-        assert not fired_worse.any(), "replacing a fired entry"
+        fired = M.fired[si_u, g_u]
+        cur_d = M.ent_d[si_u, g_u]
+        assert not (fired & (d_star < cur_d)).any(), "replacing a fired entry"
+        assert not (
+            fired & (d_star == cur_d) & (sig_star != M.best_sigma[si_u, g_u])
+        ).any(), "sigma update after fire"
         M.ent_d[si_u, g_u] = d_star
         M.best_sigma[si_u, g_u] = sig_star
 
@@ -712,7 +272,8 @@ class _ArrayBatchExecutor:
 
         The head of each master's unfired schedule is the min of
         ``d*(k+1)+si`` over unfired present cells; it fires when
-        ``d + sent_prefix + 1 == rnd``, exactly ``next_fire``.
+        ``d + sent_prefix + 1 == rnd`` (send rounds strictly increase
+        along the sorted list, so fired entries form a stable prefix).
         Returns (per-host fire blocks, fired count, any_pending).
         """
         M = self.masters
@@ -745,15 +306,14 @@ class _ArrayBatchExecutor:
         """Relax local out-edges of this round's fired vertices — one
         arena-wide sweep over every host's delivery block.
 
-        The dict plane processes delivery items one by one per host;
-        every intra-round read-after-write runs through either the
-        finalized row (unique writes — reconstructed exactly from the
-        post-state plus the per-cell fire position ``fpos``) or a
-        candidate cell.  Hosts never share cells (arena rows are
-        per-host), so concatenating the blocks in host order preserves
-        each host's item order and changes nothing else.  Cells with one
-        event this round take the vectorized path; multi-event cells
-        replay events in item order.
+        Items take effect in item order (host ascending, then block
+        position).  Every intra-round read-after-write runs through
+        either the finalized row (unique writes — reconstructed exactly
+        from the post-state plus the per-cell fire position ``fpos``) or
+        a candidate cell.  Hosts never share cells (arena rows are
+        per-host), so concatenating the blocks in host order keeps each
+        host's item order.  Cells with one event this round take the
+        vectorized path; multi-event cells replay events in item order.
         """
         present = [
             (h, blk) for h, blk in enumerate(deliveries)
@@ -839,7 +399,10 @@ class _ArrayBatchExecutor:
                 re_ = ev
             if fe.size:
                 # F events: the broadcast value supersedes this host's
-                # own candidate (see the dict plane for the rationale).
+                # own candidate, which is recorded as already
+                # synchronized.  A worse local candidate can never become
+                # a valid min-distance contribution (every predecessor at
+                # d-1 fired before v), so its σ is dropped.
                 fl, fs, fd = lid[fe], si[fe], d[fe]
                 old = A.cand_dist[fl, fs]
                 has_old = old != INF
@@ -892,7 +455,7 @@ class _ArrayBatchExecutor:
         self, multi, m, lid, si, d, r_sel, w, sie, nd, sg, item_of,
         hs, n_better, n_equal,
     ) -> None:
-        """Replay multi-event cells in the dict plane's per-item order.
+        """Replay multi-event cells in item order (host, item, kind).
 
         Cell state is gathered into Python dicts once, replayed with
         pure-Python arithmetic (float64 in, float64 out — bit-identical
@@ -975,10 +538,10 @@ class _ArrayBatchExecutor:
         """Vectorized §4.3 staging: derive each pending vertex's sorted
         pair list from its candidate row, send the due prefix.
 
-        One arena-wide sweep: the unsent bitset's sorted index vector is
-        exactly the dict plane's (host asc, lid asc) iteration order, so
-        slicing the row-major result at the arena's host offsets yields
-        the per-host blocks in the dict plane's staging order.
+        One arena-wide sweep: the unsent bitset's sorted index vector
+        runs host ascending, then local id ascending, so slicing the
+        row-major result at the arena's host offsets yields per-host
+        blocks staged in (lid, list position) order.
         """
         blocks: list = [None] * self.H
         A = self.arena
@@ -1000,8 +563,8 @@ class _ArrayBatchExecutor:
         p_sorted = present[rix, order]
         sent_sorted = A.sent_d[lids][rix, order]
         # Due rounds are strictly increasing along each sorted list,
-        # so the due test per position yields the dict plane's
-        # break-at-first-not-due prefix automatically.
+        # so the due test per position selects exactly the prefix up to
+        # the first entry that is not due yet.
         due = p_sorted & (d_sorted + pos <= rnd)
         need = due & (sent_sorted != d_sorted)
         rows, cols = np.nonzero(need)
@@ -1125,8 +688,7 @@ class _ArrayBatchExecutor:
                     [blk.cols[2] for _h, blk in got]
                 ).astype(np.float64, copy=False)
                 # Sequential accumulation in inbox order (host asc, item
-                # order within) — bit-identical to the dict plane's
-                # per-item `+=`.
+                # order within).
                 np.add.at(self.delta, (si, gi), pd)
 
             fr = sched & (M.tau == R - rnd + 1)
@@ -1216,8 +778,7 @@ class _ArrayBatchExecutor:
         wt, ws = wp[sel], sie[sel]
         vals = A.fin_sigma[wt, ws] * coeff[item_of[sel]]  # repro-lint: disable=RL301
         # np.add.at accumulates in event order = (host, item,
-        # predecessor) order — the dict plane's exact float sequence
-        # per cell (cells never span hosts).
+        # predecessor) order per cell (cells never span hosts).
         np.add.at(A.partial_delta, (wt, ws), vals)
         A.delta_dirty[wt, ws] = True
         for h, c in enumerate(
@@ -1226,7 +787,7 @@ class _ArrayBatchExecutor:
             if c:
                 rs.compute[h].struct_ops += int(c)
 
-    # -- uniform executor interface ----------------------------------------
+    # -- executor interface ------------------------------------------------
 
     def flatmap_entry_counts(self) -> list[int]:
         """Per master, |L_v| — the flat-map occupancy histogram input."""
@@ -1234,7 +795,7 @@ class _ArrayBatchExecutor:
         return [int(counts[g]) for g in self.masters.master_order]
 
     def to_rows(self) -> RowStateView:
-        """Dict-plane-shaped view for checkpoints/invariant checks."""
+        """Row-shaped view for checkpoints and invariant checks."""
         return RowStateView(
             masters=self.masters.to_rows(),
             hosts=[self.arena.host_view(h) for h in range(self.H)],
@@ -1242,7 +803,7 @@ class _ArrayBatchExecutor:
         )
 
     def from_rows(self, masters, arrays) -> None:
-        """Load a dict-plane forward snapshot (checkpoint restore)."""
+        """Load a row-shaped forward snapshot (checkpoint restore)."""
         self.masters = MasterColumns(self.k, self.n, self.H)
         self.masters.from_rows(masters)
         self.delta = None
@@ -1265,7 +826,6 @@ def mrbc_engine(
     seed: int | None = None,
     resilience: "ResilienceContext | None" = None,
     recovery_policy: "RecoveryPolicy | str | None" = None,
-    plane: str = "dict",
 ) -> MRBCEngineResult:
     """Run Min-Rounds BC on the simulated D-Galois engine.
 
@@ -1274,7 +834,7 @@ def mrbc_engine(
     sources:
         Explicit source vertices; if ``None``, ``num_sources`` are sampled
         (contiguous chunk, the paper's §5.1 protocol; default: all
-        vertices).
+        vertices).  Ids outside ``[0, n)`` raise :class:`ValueError`.
     batch_size:
         Sources per simultaneous batch (the paper's ``k``; Figure 1).
     num_hosts, policy, partition:
@@ -1306,13 +866,6 @@ def mrbc_engine(
         :class:`~repro.resilience.supervisor.PartialResult` salvaging
         the completed batches.  With no faults, attaching a policy is
         neutral — the deterministic signature is byte-identical.
-    plane:
-        ``"dict"`` (default) runs the per-vertex reference executor on
-        the tuple-exchanging :class:`~repro.runtime.plane.GluonPlane`;
-        ``"array"`` runs the columnar executor on the
-        :class:`~repro.runtime.plane.GluonArrayPlane`.  Both produce
-        byte-identical results, engine counts and ledger entries; the
-        array plane is the fast path (see docs/PERFORMANCE.md).
 
     Returns per-vertex BC (summed over the sampled sources), per-source
     distances and path counts, and the full engine statistics.
@@ -1320,26 +873,14 @@ def mrbc_engine(
     from repro.resilience.supervisor import attach_policy
 
     pg = resolve_partition(g, partition, num_hosts, policy)
-    if sources is None:
-        if num_sources is None:
-            src = np.arange(g.num_vertices, dtype=np.int64)
-        else:
-            src = sample_sources(g, num_sources, seed=seed)
-    else:
-        src = np.asarray(sources, dtype=np.int64).ravel()
-    if src.size == 0:
-        raise ValueError("need at least one source")
+    if sources is None and num_sources is not None:
+        sources = sample_sources(g, num_sources, seed=seed)
+    src = resolve_sources(sources, g.num_vertices)
 
     resilience, supervisor = attach_policy(resilience, recovery_policy)
-    if plane == "dict":
-        exec_cls = _BatchExecutor
-        plane_obj = GluonPlane(pg, resilience=resilience)
-    elif plane == "array":
-        exec_cls = _ArrayBatchExecutor
-        plane_obj = GluonArrayPlane(pg, resilience=resilience)
-    else:
-        raise ValueError(f"unknown plane {plane!r} (expected 'dict' or 'array')")
-    runtime = SuperstepRuntime(plane=plane_obj, resilience=resilience)
+    runtime = SuperstepRuntime(
+        plane=GluonArrayPlane(pg, resilience=resilience), resilience=resilience
+    )
     gluon = runtime.plane
     run = runtime.run
     n = g.num_vertices
@@ -1351,13 +892,17 @@ def mrbc_engine(
 
     tele = obs.current()
 
-    def execute_batch(b0: int, batch: np.ndarray) -> tuple[_BatchExecutor, int, int]:
+    def execute_batch(
+        b0: int, batch: np.ndarray
+    ) -> tuple[_ArrayBatchExecutor, int, int]:
         # -- forward, restarting the batch from scratch on a host crash
         # (redone rounds are charged to the recovery phase by the runtime).
-        def fwd_prepare(attempt: int) -> _BatchExecutor:
-            return exec_cls(pg, gluon, run, batch, delayed_sync, resilience)
+        def fwd_prepare(attempt: int) -> _ArrayBatchExecutor:
+            return _ArrayBatchExecutor(
+                pg, gluon, run, batch, delayed_sync, resilience
+            )
 
-        def fwd_body(ex: _BatchExecutor) -> int:
+        def fwd_body(ex: _ArrayBatchExecutor) -> int:
             with runtime.phase("forward", batch=b0, k=int(batch.size)):
                 return ex.run_forward(runtime)
 
@@ -1375,10 +920,12 @@ def mrbc_engine(
         b = 0
         if not forward_only:
             # -- backward, resuming from the forward checkpoint on a crash.
-            def bwd_prepare(attempt: int, first: _BatchExecutor = ex) -> _BatchExecutor:
+            def bwd_prepare(
+                attempt: int, first: _ArrayBatchExecutor = ex
+            ) -> _ArrayBatchExecutor:
                 if attempt == 1:
                     return first
-                fresh = exec_cls(
+                fresh = _ArrayBatchExecutor(
                     pg, gluon, run, batch, delayed_sync, resilience
                 )
                 meta, arrays = resilience.checkpoints.load(
@@ -1387,7 +934,7 @@ def mrbc_engine(
                 restore_mrbc_forward(fresh, meta, arrays)
                 return fresh
 
-            def bwd_body(ex: _BatchExecutor) -> int:
+            def bwd_body(ex: _ArrayBatchExecutor) -> int:
                 with runtime.phase("backward", batch=b0, k=int(batch.size)):
                     return ex.run_backward(runtime)
 
@@ -1410,31 +957,19 @@ def mrbc_engine(
         fwd_rounds += f
         bwd_rounds += b
         base = b0 * batch_size
-        if plane == "array":
-            # Same banking, columnar: (si, gid) cells are disjoint, and
-            # the per-gid BC accumulation runs si-ascending with zero
-            # contributions from non-masters (float identity), so the
-            # result is bit-identical to the dict loop below.
-            M = ex.masters
-            si_p, g_p = np.nonzero(M.ent_d != INF)
-            dist[base + si_p, g_p] = M.ent_d[si_p, g_p]
-            sigma[base + si_p, g_p] = M.best_sigma[si_p, g_p]
-            if not forward_only:
-                registered = M.master_seq >= 0
-                for si in range(batch.size):
-                    row = np.where(registered, ex.delta[si], 0.0)
-                    row[int(batch[si])] = 0.0
-                    bc += row
-        else:
-            for gid, ms in ex.masters.items():
-                for si, (d, sg) in ms.best.items():
-                    dist[base + si, gid] = d
-                    sigma[base + si, gid] = sg
-            if not forward_only:
-                for gid, dl in ex.delta.items():
-                    for si in range(batch.size):
-                        if int(batch[si]) != gid:
-                            bc[gid] += dl[si]
+        # Bank the batch: (si, gid) cells are disjoint, and each vertex's
+        # BC accumulates its batch sources si-ascending, excluding the
+        # source itself; non-masters add exact zeros.
+        M = ex.masters
+        si_p, g_p = np.nonzero(M.ent_d != INF)
+        dist[base + si_p, g_p] = M.ent_d[si_p, g_p]
+        sigma[base + si_p, g_p] = M.best_sigma[si_p, g_p]
+        if not forward_only:
+            registered = M.master_seq >= 0
+            for si in range(batch.size):
+                row = np.where(registered, ex.delta[si], 0.0)
+                row[int(batch[si])] = 0.0
+                bc += row
 
     partial = (
         supervisor.partial_result(bc, requested_sources=int(src.size), num_vertices=n)

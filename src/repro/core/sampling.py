@@ -43,3 +43,24 @@ def sample_sources(
     if mode == "first":
         return np.arange(k, dtype=np.int64)
     raise ValueError(f"unknown sampling mode {mode!r}")
+
+
+def resolve_sources(
+    sources: np.ndarray | list[int] | None, n: int
+) -> np.ndarray:
+    """Explicit ``sources`` (``None``: every vertex) as a flat int64 array.
+
+    Raises :class:`ValueError` on an empty selection, and on ids outside
+    ``[0, n)`` naming them — a negative id would otherwise index the
+    per-vertex arrays from the end and silently run another vertex.
+    """
+    if sources is None:
+        src = np.arange(n, dtype=np.int64)
+    else:
+        src = np.asarray(sources, dtype=np.int64).ravel()
+    if src.size == 0:
+        raise ValueError("need at least one source")
+    bad = np.unique(src[(src < 0) | (src >= n)])
+    if bad.size:
+        raise ValueError(f"source ids out of range [0, {n}): {bad.tolist()}")
+    return src

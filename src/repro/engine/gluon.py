@@ -169,7 +169,7 @@ class GluonSubstrate:
         if self.exact_sizes:
             raise ValueError(
                 "columnar accounting requires the closed-form size model; "
-                "exact_sizes stays on the dict plane"
+                "exact_sizes stays on the tuple plane (GluonPlane)"
             )
         del batch_width  # folded into source_meta_bytes by the caller
         tele = obs.current()

@@ -492,14 +492,6 @@ def readiness_report(program: Program, findings: list[Finding]) -> dict:
                 "verdict": "ready" if not rl6 else "blocked",
                 "blockers": rl6,
             },
-            # Not a dataflow verdict: records which drivers already ship
-            # a columnar (plane="array") tier, so the report shows what
-            # the readiness gate bought and what remains to port.
-            "columnar": (
-                "ported"
-                if fe.qualname in model.COLUMNAR_PORTED_DRIVERS
-                else "pending"
-            ),
         }
     return {"drivers": report}
 
@@ -520,7 +512,6 @@ def render_readiness(report: dict, stream) -> None:
             f"  {name:<{width}}  [{entry['kind']:<7}] "
             f"vectorize: {vec['verdict']:<7} "
             f"parallel: {par['verdict']:<7} "
-            f"columnar: {entry.get('columnar', 'pending'):<7} "
             f"(cone: {entry['cone_size']} fns)",
             file=stream,
         )

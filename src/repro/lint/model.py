@@ -95,8 +95,8 @@ PROGRAM_COLLECTION_NAMES = frozenset({"programs"})
 
 # -- set-valuedness ------------------------------------------------------------
 
-#: Attributes that are plain ``set`` objects in the engine state
-#: (``HostState.unsent``: local vertices with unsent candidate pairs).
+#: Attributes that are plain ``set`` objects in engine state (e.g. a
+#: proxy's ``unsent``: local vertices with unsent candidate pairs).
 SET_VALUED_ATTRS = frozenset({"unsent"})
 
 #: Attributes that are mappings *to sets* — subscripting or ``.get()``
@@ -452,18 +452,6 @@ CONGEST_DRIVER_NAMES = frozenset(
         "directed_apsp",
         "sbbc_congest",
         "lenzen_peleg_apsp",
-    }
-)
-
-#: Drivers already ported to the columnar execution tier (they accept
-#: ``plane="array"`` and run on ``GluonArrayPlane`` with bit-identical
-#: results).  The readiness report's third column: a driver that is
-#: vectorization-*ready* but not yet in this set is the next porting
-#: candidate for ROADMAP item 1.
-COLUMNAR_PORTED_DRIVERS = frozenset(
-    {
-        "mrbc_engine",
-        "sbbc_engine",
     }
 )
 

@@ -74,7 +74,6 @@ class BenchCase:
     sources: int
     batch: int = 16
     seed: int = 7  # source-sampling seed (graph specs use the default seed)
-    plane: str = "dict"  # execution tier: "dict" (reference) | "array"
 
 
 #: The default suite: the paper's three graph regimes (random power-law,
@@ -102,35 +101,6 @@ SMOKE_SUITE: tuple[BenchCase, ...] = (
 )
 
 
-def expand_planes(
-    cases: "tuple[BenchCase, ...] | list[BenchCase]", plane: str
-) -> tuple[BenchCase, ...]:
-    """Project a suite onto an execution-tier axis.
-
-    ``"dict"`` returns the suite as pinned; ``"array"`` rewrites every
-    case onto the columnar plane under the twin name ``<name>@array``;
-    ``"both"`` interleaves each dict case with its array twin, which is
-    what lets :func:`run_suite` annotate per-case speedups.  The dict
-    cases keep their unsuffixed names so snapshots taken with any
-    ``plane`` value stay comparable against dict-only baselines.
-    """
-    from dataclasses import replace
-
-    if plane == "dict":
-        return tuple(cases)
-    if plane == "array":
-        return tuple(
-            replace(c, name=f"{c.name}@array", plane="array") for c in cases
-        )
-    if plane == "both":
-        out: list[BenchCase] = []
-        for c in cases:
-            out.append(c)
-            out.append(replace(c, name=f"{c.name}@array", plane="array"))
-        return tuple(out)
-    raise ValueError(f"unknown plane axis {plane!r} (dict|array|both)")
-
-
 def environment_fingerprint() -> dict[str, str]:
     """Where the wall-clock numbers came from (not part of the identity)."""
     return {
@@ -146,9 +116,7 @@ def _run_engine(case: BenchCase, g: Any, sources: Any) -> Any:
     if case.algorithm == "sbbc":
         from repro.baselines.sbbc import sbbc_engine
 
-        return sbbc_engine(
-            g, sources=sources, num_hosts=case.hosts, plane=case.plane
-        )
+        return sbbc_engine(g, sources=sources, num_hosts=case.hosts)
     if case.algorithm == "mrbc":
         from repro.core.mrbc import mrbc_engine
 
@@ -157,13 +125,12 @@ def _run_engine(case: BenchCase, g: Any, sources: Any) -> Any:
             sources=sources,
             batch_size=case.batch,
             num_hosts=case.hosts,
-            plane=case.plane,
         )
     raise ValueError(f"unknown bench algorithm {case.algorithm!r}")
 
 
-class _CaseRun:
-    """One case's repetition state: setup once, run reps, assemble record.
+def run_case(case: BenchCase, repeats: int = 3, warmup: int = 1) -> dict[str, Any]:
+    """Run one case ``warmup + repeats`` times; record counts and wall times.
 
     Every repetition runs with a fresh :class:`~repro.obs.comm.CommLedger`
     and :class:`~repro.obs.rounds.RoundLedger` attached (null sink —
@@ -171,104 +138,60 @@ class _CaseRun:
     gate communication and round-complexity regressions alongside the
     engine's deterministic counts.
     """
+    from repro import obs
+    from repro.cluster.model import ClusterModel
+    from repro.core.sampling import sample_sources
+    from repro.graph import generators
+    from repro.obs.comm import CommLedger
+    from repro.obs.rounds import RoundLedger
 
-    def __init__(self, case: BenchCase, warmup: int) -> None:
-        from repro.core.sampling import sample_sources
-        from repro.graph import generators
-
-        self.case = case
-        self.warmup = warmup
-        self.g = generators.from_spec(case.graph)
-        self.sources = sample_sources(
-            self.g, min(case.sources, self.g.num_vertices), seed=case.seed
-        )
-        self.samples: list[float] = []
-        self.res = None
-        self.ledger = None
-        self.rledger = None
-
-    def rep(self, i: int) -> None:
-        from repro import obs
-        from repro.obs.comm import CommLedger
-        from repro.obs.rounds import RoundLedger
-
-        self.ledger = CommLedger()
-        self.rledger = RoundLedger()
-        with obs.session(comm=self.ledger, rounds=self.rledger):
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    g = generators.from_spec(case.graph)
+    sources = sample_sources(
+        g, min(case.sources, g.num_vertices), seed=case.seed
+    )
+    samples: list[float] = []
+    res = None
+    ledger = None
+    rledger = None
+    for i in range(warmup + repeats):
+        ledger = CommLedger()
+        rledger = RoundLedger()
+        with obs.session(comm=ledger, rounds=rledger):
             t0 = time.perf_counter()
-            self.res = _run_engine(self.case, self.g, self.sources)
+            res = _run_engine(case, g, sources)
             dt = time.perf_counter() - t0
-        if i >= self.warmup:
-            self.samples.append(dt)
-
-    def record(self) -> dict[str, Any]:
-        from repro.cluster.model import ClusterModel
-
-        case = self.case
-        samples = self.samples
-        deterministic = dict(self.res.run.deterministic_signature())
-        sim = ClusterModel(case.hosts).time_run(self.res.run)
-        deterministic.update(
-            sim_computation_s=sim.computation,
-            sim_communication_s=sim.communication,
-            sim_total_s=sim.total,
-        )
-        return {
-            "name": case.name,
-            "config": {
-                "algorithm": case.algorithm,
-                "graph": case.graph,
-                "hosts": case.hosts,
-                "sources": int(self.sources.size),
-                "batch": case.batch,
-                "seed": case.seed,
-                "plane": case.plane,
-                "num_vertices": self.g.num_vertices,
-                "num_edges": self.g.num_edges,
-            },
-            "deterministic": deterministic,
-            "comm": self.ledger.bench_counts(),
-            "rounds": self.rledger.bench_counts(),
-            "wall_s": {
-                "samples": [round(s, 6) for s in samples],
-                "median": round(quantile(samples, 0.5), 6),
-                "iqr": round(
-                    quantile(samples, 0.75) - quantile(samples, 0.25), 6
-                ),
-            },
-        }
-
-
-def run_case(case: BenchCase, repeats: int = 3, warmup: int = 1) -> dict[str, Any]:
-    """Run one case ``warmup + repeats`` times; record counts and wall times."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    run = _CaseRun(case, warmup)
-    for i in range(warmup + repeats):
-        run.rep(i)
-    return run.record()
-
-
-def run_case_paired(
-    a: BenchCase, b: BenchCase, repeats: int = 3, warmup: int = 1
-) -> "tuple[dict[str, Any], dict[str, Any]]":
-    """Run two cases with their repetitions interleaved (a0 b0 a1 b1 …).
-
-    Used for a dict case and its ``@array`` twin: the machine's speed
-    drifts on a timescale comparable to a repetition block, so running
-    all of one plane's reps and then all of the other's lets that drift
-    leak into ``speedup_vs_dict``. Alternating reps pairs the two
-    planes' samples in time — the ratio of medians becomes insensitive
-    to drift while each case's own samples, medians and counts are
-    computed exactly as in the unpaired path.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    ra, rb = _CaseRun(a, warmup), _CaseRun(b, warmup)
-    for i in range(warmup + repeats):
-        ra.rep(i)
-        rb.rep(i)
-    return ra.record(), rb.record()
+        if i >= warmup:
+            samples.append(dt)
+    deterministic = dict(res.run.deterministic_signature())
+    sim = ClusterModel(case.hosts).time_run(res.run)
+    deterministic.update(
+        sim_computation_s=sim.computation,
+        sim_communication_s=sim.communication,
+        sim_total_s=sim.total,
+    )
+    return {
+        "name": case.name,
+        "config": {
+            "algorithm": case.algorithm,
+            "graph": case.graph,
+            "hosts": case.hosts,
+            "sources": int(sources.size),
+            "batch": case.batch,
+            "seed": case.seed,
+            "num_vertices": g.num_vertices,
+            "num_edges": g.num_edges,
+        },
+        "deterministic": deterministic,
+        "comm": ledger.bench_counts(),
+        "rounds": rledger.bench_counts(),
+        "wall_s": {
+            "samples": [round(s, 6) for s in samples],
+            "median": round(quantile(samples, 0.5), 6),
+            "iqr": round(quantile(samples, 0.75) - quantile(samples, 0.25), 6),
+        },
+    }
 
 
 def run_suite(
@@ -278,52 +201,12 @@ def run_suite(
     suite_name: str = "default",
     progress: Callable[[BenchCase], None] | None = None,
 ) -> dict[str, Any]:
-    """Run every case and assemble one versioned bench snapshot document.
-
-    A dict case immediately followed by its ``@array`` twin (the layout
-    :func:`expand_planes` produces for ``plane="both"``) runs through
-    :func:`run_case_paired` so the recorded speedup is drift-immune.
-    """
+    """Run every case and assemble one versioned bench snapshot document."""
     recorded = []
-    cl = list(cases)
-    i = 0
-    while i < len(cl):
-        case = cl[i]
-        nxt = cl[i + 1] if i + 1 < len(cl) else None
-        if (
-            nxt is not None
-            and case.plane == "dict"
-            and nxt.plane == "array"
-            and nxt.name == case.name + "@array"
-        ):
-            if progress is not None:
-                progress(case)
-                progress(nxt)
-            recorded.extend(
-                run_case_paired(case, nxt, repeats=repeats, warmup=warmup)
-            )
-            i += 2
-            continue
+    for case in cases:
         if progress is not None:
             progress(case)
         recorded.append(run_case(case, repeats=repeats, warmup=warmup))
-        i += 1
-    # Annotate each array case whose dict twin is in the same snapshot
-    # with its wall-clock speedup — the number `repro trend` plots for
-    # the columnar tier.  Lives under wall_s: it is a clock, not an
-    # identity, so the deterministic view never sees it.
-    by_name = {rec["name"]: rec for rec in recorded}
-    for rec in recorded:
-        if rec["config"].get("plane") != "array":
-            continue
-        twin = by_name.get(rec["name"].removesuffix("@array"))
-        if twin is None:
-            continue
-        med = rec["wall_s"]["median"]
-        if med > 0:
-            rec["wall_s"]["speedup_vs_dict"] = round(
-                twin["wall_s"]["median"] / med, 3
-            )
     return {
         "bench_version": BENCH_VERSION,
         "suite": suite_name,

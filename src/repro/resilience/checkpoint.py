@@ -40,7 +40,7 @@ import numpy as np
 from repro.resilience.errors import CheckpointCorruptError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.mrbc import _BatchExecutor
+    from repro.core.mrbc import _ArrayBatchExecutor
 
 #: Meta key carrying the snapshot's content digest (stripped on load).
 DIGEST_KEY = "__digest__"
@@ -212,16 +212,15 @@ class CheckpointStore:
 
 
 def mrbc_forward_snapshot(
-    ex: "_BatchExecutor",
+    ex: "_ArrayBatchExecutor",
 ) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
     """Capture a batch executor's post-forward state for backward replay.
 
-    Accepts either the dict-plane executor directly or the columnar
-    executor via its ``to_rows()`` view — both produce the identical
-    snapshot (same meta, same arrays, same digest), so checkpoints are
-    cross-plane compatible.
+    The snapshot is the row form of the executor's ``to_rows()`` view:
+    one ``MasterVertexState`` record per master in registration order,
+    plus each host's finalized arrays.
     """
-    view = ex.to_rows() if hasattr(ex, "to_rows") else ex
+    view = ex.to_rows()
     masters: dict[str, Any] = {}
     for gid, ms in view.masters.items():
         masters[str(gid)] = {
@@ -250,7 +249,7 @@ def mrbc_forward_snapshot(
 
 
 def restore_mrbc_forward(
-    ex: "_BatchExecutor",
+    ex: "_ArrayBatchExecutor",
     meta: dict[str, Any],
     arrays: dict[str, np.ndarray],
 ) -> None:
@@ -273,12 +272,4 @@ def restore_mrbc_forward(
             for si, per in rec["contrib"].items()
         }
         masters[int(gid_s)] = ms
-    if hasattr(ex, "from_rows"):
-        # Columnar executor: load the row-format snapshot into columns.
-        ex.from_rows(masters, arrays)
-        return
-    ex.masters = masters
-    ex.delta = {}
-    for h, st in enumerate(ex.hosts):
-        st.fin_dist[:] = arrays[f"fin_dist_{h}"]
-        st.fin_sigma[:] = arrays[f"fin_sigma_{h}"]
+    ex.from_rows(masters, arrays)

@@ -1,27 +1,24 @@
-"""Columnar per-source state for the vectorized (array) message plane.
+"""Columnar per-source state for the MRBC/SBBC executors.
 
-The dict plane keeps per-vertex Python dicts (``MasterVertexState``,
-``local_lists``) and exchanges per-vertex tuples; this module provides the
-columnar twin: dense ``(k, n)`` / ``(L, k)`` NumPy arrays for
+The §4.3 label layout as dense ``(k, n)`` / ``(L, k)`` NumPy arrays for
 distance/σ/δ, :class:`~repro.utils.bitset.Bitset`-backed masks for the
 delayed-sync staging sets, and :class:`ColumnBlock` — the unit of
 exchange on the :class:`~repro.runtime.plane.GluonArrayPlane`, a struct
 of arrays instead of a list of tuples.
 
-Explicit converters bridge the two representations:
+Explicit converters bridge to the row representations other layers use:
 
 - :meth:`MasterColumns.to_rows` / :meth:`MasterColumns.from_rows`
-  translate between the columnar master state and the dict plane's
-  ``{gid: MasterVertexState}`` map (used by checkpoints — snapshots are
-  cross-plane compatible — and by the resilience invariant checker);
+  translate between the columnar master state and a
+  ``{gid: MasterVertexState}`` map (checkpoints store that row form, and
+  the resilience invariant checker reads it);
 - :func:`ColumnBlock.to_tuples` / :func:`ColumnBlock.from_tuples`
   translate exchange payloads, which is how the array plane routes
-  through the guarded dict substrate under a fault plan.
+  through the guarded tuple substrate under a fault plan.
 
-Iteration-order contract: everywhere the dict plane's behavior depends on
-dict insertion order (master creation, fire emission, backward schedule),
-the columnar state carries an explicit sequence number
-(``master_seq``) so both planes produce byte-identical engine counts.
+Iteration-order contract: master creation order is explicit state
+(``master_seq``), and every order-sensitive sweep (fire emission,
+backward schedule, BC banking, snapshots) follows it.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from repro.utils.bitset import Bitset
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.mrbc import MasterVertexState
 
-#: "Infinite" distance sentinel (identical to the dict plane's).
+#: "Infinite" distance sentinel (identical to the engines' ``INF``).
 INF = np.iinfo(np.int32).max
 
 #: Sentinel larger than any schedule key ``d * (k + 1) + si``.
@@ -69,9 +66,9 @@ class ColumnBlock:
     """One host's exchange payload as a struct of aligned arrays.
 
     ``gids`` names the global vertex per row; ``cols`` carries the
-    payload columns (e.g. source slot, distance, σ).  The dict plane's
-    equivalent is a list of ``(gid, *payload)`` tuples — the converters
-    below translate losslessly in both directions.
+    payload columns (e.g. source slot, distance, σ).  The tuple
+    substrate's equivalent is a list of ``(gid, *payload)`` tuples — the
+    converters below translate losslessly in both directions.
     """
 
     __slots__ = ("gids", "cols")
@@ -91,12 +88,8 @@ class ColumnBlock:
     def __len__(self) -> int:
         return int(self.gids.size)
 
-    def take(self, idx: np.ndarray) -> "ColumnBlock":
-        """Row subset/permutation by position."""
-        return ColumnBlock(self.gids[idx], tuple(c[idx] for c in self.cols))
-
     def to_tuples(self) -> list[tuple[Any, ...]]:
-        """The dict plane's representation: ``(gid, *payload)`` tuples."""
+        """The tuple substrate's representation: ``(gid, *payload)``."""
         pys = [self.gids.tolist()] + [c.tolist() for c in self.cols]
         return list(zip(*pys))
 
@@ -104,7 +97,7 @@ class ColumnBlock:
     def from_tuples(
         cls, items: Iterable[tuple[Any, ...]], dtypes: tuple[Any, ...]
     ) -> "ColumnBlock":
-        """Rebuild a block from dict-plane tuples.
+        """Rebuild a block from ``(gid, *payload)`` tuples.
 
         ``dtypes`` gives the payload column dtypes (``gids`` is always
         int64); required because an empty list carries no type info.
@@ -124,23 +117,6 @@ class ColumnBlock:
             ),
         )
 
-    @classmethod
-    def concat(cls, blocks: "list[ColumnBlock]") -> "ColumnBlock":
-        """Row-wise concatenation (blocks must agree on column count)."""
-        assert blocks, "need at least one block"
-        return cls(
-            np.concatenate([b.gids for b in blocks]),
-            tuple(
-                np.concatenate([b.cols[i] for b in blocks])
-                for i in range(len(blocks[0].cols))
-            ),
-        )
-
-
-def block_len(block: "ColumnBlock | None") -> int:
-    """Length of a possibly-absent block (planes use None for empty)."""
-    return 0 if block is None else len(block)
-
 
 class HostArena:
     """Every host's per-source proxy state stacked into one row arena.
@@ -153,13 +129,11 @@ class HostArena:
     are untouched because a cell key ``row * k + si`` already encodes
     the host, so items from different hosts can never interact.
 
-    Mirrors the dict plane's ``HostState`` field for field, with two
-    exceptions: the sorted per-vertex candidate lists (``local_lists``)
-    are *derived* from ``cand_dist`` on demand (list entry ⟺ candidate
-    distance present — the invariant the dict plane maintains by hand),
-    and the ``unsent`` set is a :class:`Bitset` over arena rows, whose
-    sorted index vector is exactly the dict plane's (host, lid)
-    iteration order.
+    Each proxy's sorted ``(d, si)`` candidate list is *derived* from
+    ``cand_dist`` when needed (list entry ⟺ candidate distance present),
+    and the delayed-sync ``unsent`` set is a :class:`Bitset` over arena
+    rows, whose sorted index vector runs host ascending, then local id
+    ascending.
 
     ``lut[h, gid]`` resolves a delivery to its arena row in one gather
     (−1 = no proxy).  It costs ``H × n`` int64s — fine at the repo's
@@ -269,27 +243,13 @@ class HostArena:
         # Checkpoint/restore seam: runs at a round boundary by contract.
         return _HostRowView(self.fin_dist[sl], self.fin_sigma[sl])  # repro-lint: disable=RL301
 
-    def derive_local_lists(self, h: int) -> dict[int, list[tuple[int, int]]]:
-        """The dict plane's ``local_lists`` view for host ``h``: per
-        local vertex, the lexicographically sorted ``(d, si)`` pairs."""
-        sl = self.rows_of(h)
-        out: dict[int, list[tuple[int, int]]] = {}
-        sub = self.cand_dist[sl]
-        rows, cols = np.nonzero(sub != INF)
-        for lid, si in zip(rows.tolist(), cols.tolist()):
-            out.setdefault(lid, []).append((int(sub[lid, si]), si))
-        for lst in out.values():
-            lst.sort()
-        return out
-
 
 class RowStateView:
-    """Dict-plane-shaped view of an array executor (``to_rows()`` result).
+    """Row-shaped view of a batch executor (its ``to_rows()`` result).
 
-    Quacks like a ``_BatchExecutor`` where checkpoints and the invariant
-    checker are concerned: ``masters`` is a ``{gid: MasterVertexState}``
-    map in creation order, ``hosts`` exposes the per-host finalized
-    arrays, ``batch`` is the source batch.
+    What checkpoints and the invariant checker read: ``masters`` is a
+    ``{gid: MasterVertexState}`` map in creation order, ``hosts`` exposes
+    the per-host finalized arrays, ``batch`` is the source batch.
     """
 
     __slots__ = ("masters", "hosts", "batch")
@@ -311,18 +271,18 @@ class _HostRowView:
 class MasterColumns:
     """Authoritative master state for one batch, as dense columns.
 
-    The dict plane's ``{gid: MasterVertexState}`` becomes:
+    The row form ``{gid: MasterVertexState}`` becomes:
 
     - ``ent_d[si, gid]`` — the schedule-entry distance (INF = absent);
       the fired/unfired split is ``fired`` plus ``sent_prefix``;
     - ``best_sigma[si, gid]`` — the authoritative σ*;
     - ``contrib_d/contrib_sigma[h, si, gid]`` — per-host contributions,
-      with the virtual source host (−1 in the dict plane) stored at row
+      with the virtual source host (−1 in the row form) stored at row
       ``H``;
     - ``tau[si, gid]`` — fire timestamps for the backward schedule;
-    - ``master_seq[gid]`` / ``master_order`` — creation order, which is
-      the dict plane's insertion order; every order-sensitive sweep
-      (fire emission, backward schedule, snapshots) follows it.
+    - ``master_seq[gid]`` / ``master_order`` — creation order; every
+      order-sensitive sweep (fire emission, backward schedule, BC
+      banking, snapshots) follows it.
     """
 
     def __init__(self, k: int, n: int, num_hosts: int) -> None:
@@ -343,7 +303,7 @@ class MasterColumns:
     # -- registration ------------------------------------------------------
 
     def register(self, gid: int) -> None:
-        """Create the master for ``gid`` if absent (dict setdefault)."""
+        """Create the master for ``gid`` if absent."""
         if self.master_seq[gid] < 0:
             self.master_seq[gid] = len(self.master_order)
             self.master_order.append(int(gid))
@@ -368,17 +328,12 @@ class MasterColumns:
 
     # -- derived views -----------------------------------------------------
 
-    @property
-    def present(self) -> np.ndarray:
-        """Boolean ``(k, n)``: schedule entry exists for (si, gid)."""
-        return self.ent_d != INF
-
     def schedule_key(self) -> np.ndarray:
         """``d * (k + 1) + si`` over unfired entries, else :data:`BIG`.
 
-        The per-master minimum of this key is the head of the dict
-        plane's sorted entry list past the fired prefix (send rounds are
-        strictly increasing along it, so fired entries are a prefix).
+        The per-master minimum of this key is the head of the master's
+        sorted entry list past the fired prefix (send rounds are strictly
+        increasing along it, so fired entries are a prefix).
         """
         act = (self.ent_d != INF) & ~self.fired
         return np.where(act, self.ent_d * (self.k + 1) + self._si_col, BIG)
@@ -390,7 +345,7 @@ class MasterColumns:
     # -- row converters ----------------------------------------------------
 
     def to_rows(self) -> "dict[int, MasterVertexState]":
-        """The dict plane's ``{gid: MasterVertexState}`` in creation order."""
+        """The row form ``{gid: MasterVertexState}`` in creation order."""
         from repro.core.mrbc import MasterVertexState
 
         out: dict[int, MasterVertexState] = {}
@@ -426,7 +381,7 @@ class MasterColumns:
         return out
 
     def from_rows(self, masters: "dict[int, MasterVertexState]") -> None:
-        """Load dict-plane master state (checkpoint restore path)."""
+        """Load row-form master state (checkpoint restore path)."""
         for gid, ms in masters.items():
             self.register(int(gid))
             self.sent_prefix[gid] = ms.sent_prefix

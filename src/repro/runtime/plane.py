@@ -1,11 +1,15 @@
 """Message planes: the communication substrates the runtime drives.
 
-A *plane* is what one superstep exchanges messages through.  Two
+A *plane* is what one superstep exchanges messages through.  Three
 implementations cover every engine in the repository:
 
-- :class:`GluonPlane` — host-level reduce/broadcast over a partitioned
-  graph (wrapping :class:`~repro.engine.gluon.GluonSubstrate`), used by
-  the BSP drivers (MRBC, SBBC, bfs/wcc/pagerank/kcore, ``run_bsp``);
+- :class:`GluonPlane` — host-level reduce/broadcast of per-vertex tuples
+  over a partitioned graph (wrapping
+  :class:`~repro.engine.gluon.GluonSubstrate`), used by the BSP vertex
+  programs (bfs/wcc/pagerank/kcore, ``run_bsp``);
+- :class:`GluonArrayPlane` — the same verbs and byte model carrying
+  whole :class:`~repro.runtime.arrays.ColumnBlock` columns, used by MRBC
+  and SBBC;
 - :class:`CongestPlane` — per-channel delivery with capacity and
   combining caps (wrapping :class:`~repro.congest.network
   .CongestNetwork`'s channel structures), used by the CONGEST programs.
@@ -105,7 +109,7 @@ class GluonPlane(MessagePlane):
 class GluonArrayPlane(MessagePlane):
     """Columnar host-level reduce/broadcast: whole columns per boundary.
 
-    The vectorized twin of :class:`GluonPlane`.  Exchange payloads are
+    The vectorized form of :class:`GluonPlane`.  Exchange payloads are
     :class:`~repro.runtime.arrays.ColumnBlock` structs (one per host)
     instead of per-vertex tuple lists; routing, inbox assembly and the
     per-pair statistics that feed Gluon's byte model are all computed
@@ -113,20 +117,20 @@ class GluonArrayPlane(MessagePlane):
     are produced by the same :class:`~repro.engine.gluon.GluonSubstrate`
     model, so both planes report identical communication numbers.
 
-    Two deliberate scope limits keep the dict plane authoritative where
-    fidelity beats speed:
+    Two deliberate scope limits keep the tuple substrate authoritative
+    where fidelity beats speed:
 
     - ``exact_sizes`` is refused (it encodes each item individually);
     - under a :class:`~repro.resilience.context.ResilienceContext`, every
       exchange round-trips through the guarded tuple substrate
       (:meth:`ColumnBlock.to_tuples` / ``from_tuples``), so fault
-      injection, channel verification and repair behave identically by
-      construction — at dict-plane speed.
+      injection, channel verification and repair are the substrate's
+      own — at tuple speed.
 
-    The inbox ordering contract matches the dict plane exactly: each
-    destination host receives sender blocks in ascending sender order,
-    items within a sender in staging order (reduce inboxes carry the
-    sender as the first payload column, mirroring the tuple plane's
+    The inbox ordering contract is the tuple plane's: each destination
+    host receives sender blocks in ascending sender order, items within
+    a sender in staging order (reduce inboxes carry the sender as the
+    first payload column, mirroring the tuple plane's
     ``(gid, sender, *payload)``).
     """
 
@@ -137,7 +141,7 @@ class GluonArrayPlane(MessagePlane):
             substrate = GluonSubstrate(pg, resilience=resilience)
         if substrate.exact_sizes:
             raise ValueError(
-                "exact_sizes requires per-item encoding; use the dict plane"
+                "exact_sizes requires per-item encoding; use GluonPlane"
             )
         self.pg = pg
         self.substrate = substrate

@@ -89,3 +89,49 @@ def some_sources(g: DiGraph, k: int = 6) -> list[int]:
     n = g.num_vertices
     step = max(1, n // k)
     return list(range(0, n, step))[:k]
+
+
+class MasterRig:
+    """One MRBC batch's master columns, driven one step at a time.
+
+    ``contribute`` delivers a single reduced candidate to a vertex's
+    master and ``fire`` evaluates the send rule for one round — the two
+    master-side steps of every forward round — without relaxations.
+    Rounds must be fired in order: skipping a due round is a missed fire.
+    """
+
+    def __init__(self, batch: list[int], n: int = 8, hosts: int = 3) -> None:
+        from repro.core.mrbc import _ArrayBatchExecutor
+        from repro.engine.partition import partition_graph
+        from repro.engine.stats import EngineRun
+        from repro.runtime.plane import GluonArrayPlane
+
+        pg = partition_graph(gen.path_graph(n, bidirectional=False), hosts, "cvc")
+        self.ex = _ArrayBatchExecutor(
+            pg,
+            GluonArrayPlane(pg),
+            EngineRun(num_hosts=hosts),
+            np.asarray(batch, dtype=np.int64),
+            delayed_sync=True,
+        )
+        self.rs = self.ex.run.new_round("forward")
+        #: Whether unfired entries remained after the last ``fire``.
+        self.pending = True
+
+    def contribute(self, gid: int, si: int, host: int, d: int, sigma: float) -> None:
+        from repro.runtime.arrays import ColumnBlock
+
+        inbox = [None] * self.ex.H
+        inbox[int(self.ex.pg.master_of[gid])] = ColumnBlock.from_tuples(
+            [(gid, host, si, d, sigma)], (np.int64, np.int64, np.int64, np.float64)
+        )
+        self.ex._apply_forward_inbox(inbox, self.rs)
+
+    def fire(self, rnd: int) -> list[tuple]:
+        """Round ``rnd``'s fires as ``(gid, si, d, sigma)`` tuples."""
+        blocks, _count, self.pending = self.ex._emit_fires(rnd, self.rs)
+        return [t for blk in blocks if blk is not None for t in blk.to_tuples()]
+
+    def row(self, gid: int):
+        """The vertex's master state in row form (``MasterVertexState``)."""
+        return self.ex.masters.to_rows()[gid]

@@ -21,10 +21,9 @@ import pytest
 from repro.baselines.brandes import brandes_bc
 from repro.congest.network import CongestNetwork
 from repro.core.apsp import APSPVertexState, DirectedAPSPProgram
-from repro.core.mrbc import MasterVertexState
 from repro.core.mrbc_congest import mrbc_congest
 from repro.resilience import FaultPlan, FaultSpec, ResilienceContext
-from tests.conftest import some_sources
+from tests.conftest import MasterRig, some_sources
 
 
 class TestMessageLoss:
@@ -91,17 +90,19 @@ class TestStateMachineGuards:
     def test_master_sigma_update_after_fire_asserts(self):
         """σ contributions must all arrive before the fire round; a late
         same-distance contribution trips the guard."""
-        ms = MasterVertexState()
-        ms.apply_contribution(0, host=1, d=1, sigma=1.0)
-        assert ms.next_fire(2) == (1, 0, 1.0)
-        with pytest.raises(AssertionError):
-            ms.apply_contribution(0, host=2, d=1, sigma=2.0)
+        rig = MasterRig(batch=[0])
+        rig.contribute(5, 0, host=1, d=1, sigma=1.0)
+        rig.fire(1)
+        assert rig.fire(2) == [(5, 0, 1, 1.0)]
+        with pytest.raises(AssertionError, match="sigma update after fire"):
+            rig.contribute(5, 0, host=2, d=1, sigma=2.0)
 
     def test_master_missed_fire_asserts(self):
-        ms = MasterVertexState()
-        ms.apply_contribution(0, host=1, d=1, sigma=1.0)  # due round 2
-        with pytest.raises(AssertionError):
-            ms.next_fire(3)
+        rig = MasterRig(batch=[0])
+        rig.contribute(5, 0, host=1, d=1, sigma=1.0)  # due round 2
+        rig.fire(1)
+        with pytest.raises(AssertionError, match="missed fire"):
+            rig.fire(3)
 
 
 class TestCorruptionDetection:

@@ -164,27 +164,26 @@ class TestByteModel:
 
 
 class TestExactSizes:
-    def test_exact_mode_close_to_model(self, pg):
-        """End-to-end: MRBC volume under exact wire encoding stays within
-        25% of the closed-form model's volume."""
-        import numpy as np
-        from repro.core.mrbc import mrbc_engine
+    def test_exact_mode_close_to_model(self, pg, monkeypatch):
+        """End-to-end: a BSP program's volume under exact wire encoding
+        differs from the closed-form model's (so the exact plane really
+        ran) but stays within 25% of it."""
+        from repro.engine import programs
 
         g = pg.graph
-        srcs = [0, 10, 20, 30]
-        modeled = mrbc_engine(g, sources=srcs, batch_size=4, partition=pg)
+        modeled = programs.bfs_engine(g, 0, partition=pg)
 
-        # Monkey-patch mrbc_engine's message plane via a tiny shim: rerun
-        # with an exact-size plane by copying the executor wiring.
-        from repro.core import mrbc as mrbc_mod
+        # Rerun with an exact-size plane: bfs_engine builds its message
+        # plane from the module-level GluonPlane name.
+        orig = programs.GluonPlane
+        monkeypatch.setattr(
+            programs,
+            "GluonPlane",
+            lambda p, **kw: orig(p, exact_sizes=True, **kw),
+        )
+        exact = programs.bfs_engine(g, 0, partition=pg)
 
-        orig = mrbc_mod.GluonPlane
-        mrbc_mod.GluonPlane = lambda p, **kw: orig(p, exact_sizes=True, **kw)
-        try:
-            exact = mrbc_engine(g, sources=srcs, batch_size=4, partition=pg)
-        finally:
-            mrbc_mod.GluonPlane = orig
-
-        assert np.allclose(exact.bc, modeled.bc)
+        assert np.array_equal(exact.values, modeled.values)
         a, b = exact.run.total_bytes, modeled.run.total_bytes
+        assert a != b, "exact_sizes plane was not used"
         assert abs(a - b) / b < 0.25, (a, b)

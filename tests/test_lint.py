@@ -948,53 +948,51 @@ class TestDogfood:
         assert isinstance(baseline.entries, dict)
 
 
-class _LateFireMasterState(mrbc_mod.MasterVertexState):
-    """An off-by-one scheduler: fires entries one round late.
-
-    Statically this is exactly what RL203 flags (``d + sent_prefix + 2``);
-    at runtime the recorded τ violates ``τ = d + pos + 1`` and the
-    InvariantChecker's ``timestamp_schedule`` check must catch it.
-    """
-
-    BROKEN_SRC = """
-        def next_fire(self, rnd):
-            d, si = self.entries[self.sent_prefix]
-            due = d + self.sent_prefix + 2
-            if due == rnd:
-                self.sent_prefix += 1
-                self.tau[si] = rnd
-                return d, si, self.best[si][1]
-            return None
-    """
-
+#: An off-by-one scheduler: fires entries one round late.  Statically this
+#: is exactly what RL203 flags (``d + sent_prefix + 2``); at runtime the
+#: recorded τ violates ``τ = d + pos + 1`` and the InvariantChecker's
+#: ``timestamp_schedule`` check must catch it.
+LATE_FIRE_SRC = """
     def next_fire(self, rnd):
-        if self.sent_prefix >= len(self.entries):
-            return None
         d, si = self.entries[self.sent_prefix]
-        # Deliberately broken schedule — this class exists to prove the
-        # runtime checker catches what RL203 catches statically.
-        due = d + self.sent_prefix + 2  # repro-lint: disable=RL203
+        due = d + self.sent_prefix + 2
         if due == rnd:
             self.sent_prefix += 1
             self.tau[si] = rnd
             return d, si, self.best[si][1]
         return None
+"""
+
+
+_ORIG_EMIT_FIRES = mrbc_mod._ArrayBatchExecutor._emit_fires
+
+
+def _late_emit_fires(self, rnd, rs):
+    """The same off-by-one in the executor's fire path.
+
+    Every list position reads one too high while the send rule runs, so
+    ``d + sent_prefix + 1`` becomes ``d + sent_prefix + 2``: each entry
+    fires, and is stamped, one round late.
+    """
+    self.masters.sent_prefix += 1
+    try:
+        return _ORIG_EMIT_FIRES(self, rnd, rs)
+    finally:
+        self.masters.sent_prefix -= 1
 
 
 class TestStaticRuntimeAgreement:
     """One violation, caught by both layers (ISSUE 4's cross-check)."""
 
     def test_static_rl203_flags_broken_schedule(self):
-        assert "RL203" in codes(_LateFireMasterState.BROKEN_SRC)
-        assert "RL203" not in codes(
-            _LateFireMasterState.BROKEN_SRC.replace("+ 2", "+ 1")
-        )
+        assert "RL203" in codes(LATE_FIRE_SRC)
+        assert "RL203" not in codes(LATE_FIRE_SRC.replace("+ 2", "+ 1"))
 
     def test_runtime_invariant_checker_flags_same_schedule(self, monkeypatch):
         g = gen.erdos_renyi(30, 3.0, seed=7)
         ctx = ResilienceContext(plan=None, mode="detect")
         monkeypatch.setattr(
-            mrbc_mod, "MasterVertexState", _LateFireMasterState
+            mrbc_mod._ArrayBatchExecutor, "_emit_fires", _late_emit_fires
         )
         with pytest.raises(InvariantViolation) as exc:
             mrbc_mod.mrbc_engine(

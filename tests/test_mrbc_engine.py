@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.brandes import brandes_bc
-from repro.core.mrbc import MasterVertexState, mrbc_engine
+from repro.baselines.sbbc import sbbc_engine
+from repro.core.mrbc import mrbc_engine
 from repro.core.mrbc_congest import mrbc_congest
 from repro.engine.partition import partition_graph
-from tests.conftest import some_sources
+from repro.graph.generators import from_spec
+from tests.conftest import MasterRig, some_sources
 
 
 class TestBCCorrectness:
@@ -100,44 +102,58 @@ class TestDelayedSync:
 
 class TestMasterVertexState:
     def test_source_seeding_fires_round_one(self):
-        ms = MasterVertexState()
-        ms.initialize_source(3)
-        assert ms.next_fire(1) == (0, 3, 1.0)
-        assert ms.all_fired()
+        rig = MasterRig(batch=[3])
+        assert rig.fire(1) == [(3, 0, 0, 1.0)]
+        assert not rig.pending
 
     def test_contributions_aggregate_across_hosts(self):
-        ms = MasterVertexState()
-        ms.apply_contribution(0, host=1, d=2, sigma=3.0)
-        ms.apply_contribution(0, host=2, d=2, sigma=4.0)
-        assert ms.best[0] == (2, 7.0)
+        rig = MasterRig(batch=[0])
+        rig.contribute(5, 0, host=1, d=2, sigma=3.0)
+        rig.contribute(5, 0, host=2, d=2, sigma=4.0)
+        assert rig.row(5).best[0] == (2, 7.0)
 
     def test_shorter_distance_replaces(self):
-        ms = MasterVertexState()
-        ms.apply_contribution(0, host=1, d=3, sigma=5.0)
-        ms.apply_contribution(0, host=2, d=2, sigma=1.0)
-        assert ms.best[0] == (2, 1.0)
-        assert ms.entries == [(2, 0)]
+        rig = MasterRig(batch=[0])
+        rig.contribute(5, 0, host=1, d=3, sigma=5.0)
+        rig.contribute(5, 0, host=2, d=2, sigma=1.0)
+        assert rig.row(5).best[0] == (2, 1.0)
+        assert rig.row(5).entries == [(2, 0)]
 
     def test_stale_host_report_ignored(self):
-        ms = MasterVertexState()
-        ms.apply_contribution(0, host=1, d=2, sigma=1.0)
-        ms.apply_contribution(0, host=1, d=5, sigma=9.0)
-        assert ms.best[0] == (2, 1.0)
+        rig = MasterRig(batch=[0])
+        rig.contribute(5, 0, host=1, d=2, sigma=1.0)
+        rig.contribute(5, 0, host=1, d=5, sigma=9.0)
+        assert rig.row(5).best[0] == (2, 1.0)
 
     def test_fire_schedule_positions(self):
-        ms = MasterVertexState()
-        ms.apply_contribution(0, host=1, d=1, sigma=1.0)  # pos 1 → round 2
-        ms.apply_contribution(1, host=1, d=1, sigma=1.0)  # pos 2 → round 3
-        assert ms.next_fire(1) is None
-        assert ms.next_fire(2) == (1, 0, 1.0)
-        assert ms.next_fire(3) == (1, 1, 1.0)
-        assert ms.tau == {0: 2, 1: 3}
+        rig = MasterRig(batch=[0, 1])
+        rig.contribute(5, 0, host=1, d=1, sigma=1.0)  # pos 1 → round 2
+        rig.contribute(5, 1, host=1, d=1, sigma=1.0)  # pos 2 → round 3
+        assert all(gid != 5 for gid, *_ in rig.fire(1))
+        assert rig.fire(2) == [(5, 0, 1, 1.0)]
+        assert rig.fire(3) == [(5, 1, 1, 1.0)]
+        assert rig.row(5).tau == {0: 2, 1: 3}
 
 
 class TestInputValidation:
     def test_empty_sources_rejected(self, er_graph):
         with pytest.raises(ValueError):
             mrbc_engine(er_graph, sources=[])
+
+    @pytest.mark.parametrize(
+        "engine", [mrbc_engine, sbbc_engine], ids=["mrbc", "sbbc"]
+    )
+    @pytest.mark.parametrize(
+        "sources,bad",
+        [([-1, 2], r"\[-1\]"), ([0, 30], r"\[30\]"), ([-3, 31, 5], r"\[-3, 31\]")],
+        ids=["negative", "past-end", "both"],
+    )
+    def test_out_of_range_sources_rejected(self, engine, sources, bad):
+        # A negative id used to index from the end (MRBC ran vertex 29
+        # for -1) and n raised a bare IndexError inside the engine.
+        g = from_spec("er:30:3")
+        with pytest.raises(ValueError, match=r"out of range \[0, 30\): " + bad):
+            engine(g, sources=sources, num_hosts=2)
 
     def test_foreign_partition_rejected(self, er_graph, road_graph):
         pg = partition_graph(road_graph, 2, "oec")

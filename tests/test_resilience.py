@@ -462,9 +462,14 @@ class TestCheckpointHardening:
 
 class TestInvariants:
     def _master(self):
+        """Row form of a master whose one entry (d=1, σ=2) fired on
+        schedule in round 2."""
         ms = MasterVertexState()
-        ms.apply_contribution(0, host=1, d=1, sigma=2.0)
-        assert ms.next_fire(2) == (1, 0, 2.0)
+        ms.entries = [(1, 0)]
+        ms.contrib = {0: {1: (1, 2.0)}}
+        ms.best = {0: (1, 2.0)}
+        ms.tau = {0: 2}
+        ms.sent_prefix = 1
         return ms
 
     def test_detect_raises_on_prefix_mutation(self):
