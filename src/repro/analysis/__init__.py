@@ -17,7 +17,6 @@
 from repro.analysis.commcheck import (
     DEFAULT_CHECK_SUITE,
     CheckResult,
-    CommCheckCase,
     CommReport,
     render_comm_report,
     run_case_checks,
@@ -49,7 +48,6 @@ from repro.analysis.validation import (
 __all__ = [
     "AlgorithmSummary",
     "CheckResult",
-    "CommCheckCase",
     "CommReport",
     "DEFAULT_CHECK_SUITE",
     "PhaseStragglers",

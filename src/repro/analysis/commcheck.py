@@ -8,7 +8,7 @@ the stack *predict*, producing a PASS/FAIL report:
   authoritative :class:`~repro.engine.stats.EngineRun` accounting exactly
   (total bytes, pair messages, and the per-host ``bytes_out``/``bytes_in``
   arrays), and CONGEST ledger totals must equal the network's
-  :class:`~repro.congest.messages.MessageStats`;
+  :class:`~repro.congest.messages.MessageStats`, summed over the batches;
 - **α/β model conformance** — rebuilding the per-round per-host traffic
   from the ledger's channel records and pricing it with the
   :class:`~repro.cluster.model.ClusterModel` constants must reproduce the
@@ -33,7 +33,7 @@ re-measured).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from repro.obs.comm import (
@@ -42,6 +42,7 @@ from repro.obs.comm import (
     CommLedger,
     congest_bound_words,
 )
+from repro.runspec import RunSpec, execute
 
 #: Relative tolerance for the α/β float reconstructions.  The ledger
 #: reconstruction and ``ClusterModel.time_run`` sum the same per-round
@@ -95,27 +96,15 @@ class CommReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class CommCheckCase:
-    """One engine configuration the conformance suite runs."""
-
-    name: str
-    algorithm: str  # "mrbc" | "sbbc" | "mrbc-congest"
-    graph: str
-    hosts: int = 4
-    sources: int = 8
-    batch: int = 8
-    seed: int = 7
-
-
-#: CI-sized: seconds total, both engines and both graph regimes, plus the
-#: CONGEST implementation on both.
-DEFAULT_CHECK_SUITE: tuple[CommCheckCase, ...] = (
-    CommCheckCase("mrbc-er60", "mrbc", "er:60:3"),
-    CommCheckCase("mrbc-road8", "mrbc", "grid:8:8"),
-    CommCheckCase("sbbc-er60", "sbbc", "er:60:3"),
-    CommCheckCase("congest-er60", "mrbc-congest", "er:60:3"),
-    CommCheckCase("congest-road8", "mrbc-congest", "grid:8:8"),
+#: CI-sized: seconds total, both engines and both graph regimes, plus
+#: batched CONGEST MRBC on both.  Every case takes :class:`RunSpec`'s CI-sized defaults (4 hosts, 8
+#: sources, batch 8, seed 7).
+DEFAULT_CHECK_SUITE: tuple[RunSpec, ...] = (
+    RunSpec("mrbc-er60", "mrbc", "er:60:3"),
+    RunSpec("mrbc-road8", "mrbc", "grid:8:8"),
+    RunSpec("sbbc-er60", "sbbc", "er:60:3"),
+    RunSpec("congest-er60", "mrbc-congest", "er:60:3"),
+    RunSpec("congest-road8", "mrbc-congest", "grid:8:8"),
 )
 
 
@@ -279,56 +268,43 @@ def check_congest_channels(
 
 
 def check_congest_stats(case: str, res: Any, ledger: CommLedger) -> list[CheckResult]:
-    """Ledger ↔ :class:`MessageStats` reconciliation (exact)."""
+    """Ledger ↔ :class:`MessageStats` reconciliation (exact).
+
+    ``res`` is a batched CONGEST result: the stats of every batch's
+    forward and accumulation runs sum to the ledger's totals.
+    """
     totals = ledger.totals(PLANE_CONGEST)
-    fwd, back = res.stats_forward, res.stats_backward
-    return [
-        CheckResult(
+    stats = [s for b in res.batches for s in (b.stats_forward, b.stats_backward)]
+    out: list[CheckResult] = []
+    for attr, detail in (
+        ("messages", "one ledger record per channel send"),
+        ("values", "combined payload values per channel"),
+        ("words", "machine words per payload_words()"),
+    ):
+        predicted = sum(getattr(s, attr) for s in stats)
+        measured = getattr(totals, attr)
+        out.append(CheckResult(
             case,
-            "ledger-messages-vs-stats",
-            predicted=fwd.messages + back.messages,
-            measured=totals.messages,
-            ok=totals.messages == fwd.messages + back.messages,
-            detail="one ledger record per channel send",
-        ),
-        CheckResult(
-            case,
-            "ledger-values-vs-stats",
-            predicted=fwd.values + back.values,
-            measured=totals.values,
-            ok=totals.values == fwd.values + back.values,
-            detail="combined payload values per channel",
-        ),
-        CheckResult(
-            case,
-            "ledger-words-vs-stats",
-            predicted=fwd.words + back.words,
-            measured=totals.words,
-            ok=totals.words == fwd.words + back.words,
-            detail="machine words per payload_words()",
-        ),
-    ]
+            f"ledger-{attr}-vs-stats",
+            predicted=predicted,
+            measured=measured,
+            ok=measured == predicted,
+            detail=detail,
+        ))
+    return out
 
 
 # -- suite driver ------------------------------------------------------------------
 
 
-def run_case_checks(case: CommCheckCase) -> list[CheckResult]:
+def run_case_checks(case: RunSpec) -> list[CheckResult]:
     """Run one case's engine under a fresh ledger and evaluate its checks."""
-    from repro import obs
-    from repro.core.sampling import sample_sources
-    from repro.graph import generators
-
-    g = generators.from_spec(case.graph)
-    sources = sample_sources(g, min(case.sources, g.num_vertices), seed=case.seed)
+    g, sources = case.load()
 
     if case.algorithm == "mrbc-congest":
-        from repro.core.mrbc_congest import mrbc_congest
-
         bound = congest_bound_words(g.num_vertices)
         ledger = CommLedger(bound_words=bound)
-        with obs.session(comm=ledger):
-            res = mrbc_congest(g, sources=sources)
+        res = execute(case, g, sources, comm=ledger)
         ug = g.to_undirected()
         num_channels = sum(
             len(ug.out_neighbors(v)) for v in range(g.num_vertices)
@@ -341,42 +317,15 @@ def run_case_checks(case: CommCheckCase) -> list[CheckResult]:
 
     from repro.cluster.model import ClusterModel
 
-    model = ClusterModel(case.hosts)
     ledger = CommLedger()
-    if case.algorithm == "sbbc":
-        from repro.baselines.sbbc import sbbc_engine
-
-        with obs.session(comm=ledger):
-            res = sbbc_engine(g, sources=sources, num_hosts=case.hosts)
-    elif case.algorithm == "mrbc":
-        from repro.core.mrbc import mrbc_engine
-
-        with obs.session(comm=ledger):
-            res = mrbc_engine(
-                g,
-                sources=sources,
-                batch_size=case.batch,
-                num_hosts=case.hosts,
-            )
-    else:
-        raise ValueError(f"unknown commcheck algorithm {case.algorithm!r}")
-
+    res = execute(case, g, sources, comm=ledger)
     results = [
         *check_engine_ledger(case.name, res.run, ledger),
-        *check_alpha_beta(case.name, res.run, ledger, model),
+        *check_alpha_beta(case.name, res.run, ledger, ClusterModel(case.hosts)),
     ]
     if case.algorithm == "mrbc":
-        from repro.core.mrbc import mrbc_engine
-
         eager_ledger = CommLedger()
-        with obs.session(comm=eager_ledger):
-            mrbc_engine(
-                g,
-                sources=sources,
-                batch_size=case.batch,
-                num_hosts=case.hosts,
-                delayed_sync=False,
-            )
+        execute(replace(case, delayed_sync=False), g, sources, comm=eager_ledger)
         results.append(
             check_delayed_sync(
                 case.name,
@@ -388,8 +337,8 @@ def run_case_checks(case: CommCheckCase) -> list[CheckResult]:
 
 
 def run_conformance(
-    cases: "tuple[CommCheckCase, ...] | list[CommCheckCase]" = DEFAULT_CHECK_SUITE,
-    progress: Callable[[CommCheckCase], None] | None = None,
+    cases: "tuple[RunSpec, ...] | list[RunSpec]" = DEFAULT_CHECK_SUITE,
+    progress: Callable[[RunSpec], None] | None = None,
 ) -> CommReport:
     """Run the conformance suite and assemble the PASS/FAIL report."""
     report = CommReport()

@@ -37,14 +37,14 @@ separately and excluded from the per-batch counts by construction).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.analysis.commcheck import CheckResult
+from repro.analysis.commcheck import CheckResult, CommReport
 from repro.obs.rounds import RoundLedger, UnitRounds
+from repro.runspec import RunSpec, execute
 
 #: Extra rounds allowed on top of the theoretical ``Diam + k`` budget:
 #: one trailing all-quiet round for the quiescence detector, one for the
@@ -53,50 +53,20 @@ from repro.obs.rounds import RoundLedger, UnitRounds
 DEFAULT_SLACK = 2
 
 
-@dataclass
-class RoundReport:
-    """All checks of one conformance run, with the overall verdict."""
-
-    results: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": 1,
-            "verdict": "PASS" if self.ok else "FAIL",
-            "checks": [r.to_dict() for r in self.results],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class RoundCheckCase:
-    """One engine configuration the conformance suite runs."""
-
-    name: str
-    algorithm: str  # "mrbc" | "sbbc" | "mrbc-congest"
-    graph: str
-    hosts: int = 4
-    sources: int = 8
-    batch: int = 4
-    seed: int = 7
-    slack: int = DEFAULT_SLACK
+#: A round report has the comm report's shape: schema 1, verdict, checks.
+RoundReport = CommReport
 
 
 #: CI-sized: seconds total, both engines and both graph regimes, plus the
 #: batched CONGEST implementation (the Lemma 8 bound holds per batch).
-DEFAULT_ROUND_SUITE: tuple[RoundCheckCase, ...] = (
-    RoundCheckCase("mrbc-er60", "mrbc", "er:60:3"),
-    RoundCheckCase("mrbc-road8", "mrbc", "grid:8:8"),
-    RoundCheckCase("sbbc-er60", "sbbc", "er:60:3"),
-    RoundCheckCase("sbbc-road8", "sbbc", "grid:8:8"),
-    RoundCheckCase("congest-er60", "mrbc-congest", "er:60:3"),
-    RoundCheckCase("congest-road8", "mrbc-congest", "grid:8:8"),
+#: Batch 4 splits each case's 8 sources into two MRBC batches.
+DEFAULT_ROUND_SUITE: tuple[RunSpec, ...] = (
+    RunSpec("mrbc-er60", "mrbc", "er:60:3", batch=4),
+    RunSpec("mrbc-road8", "mrbc", "grid:8:8", batch=4),
+    RunSpec("sbbc-er60", "sbbc", "er:60:3", batch=4),
+    RunSpec("sbbc-road8", "sbbc", "grid:8:8", batch=4),
+    RunSpec("congest-er60", "mrbc-congest", "er:60:3", batch=4),
+    RunSpec("congest-road8", "mrbc-congest", "grid:8:8", batch=4),
 )
 
 
@@ -309,54 +279,28 @@ def check_ledger_congest(case: str, res: Any, ledger: RoundLedger) -> CheckResul
 # -- suite driver ------------------------------------------------------------------
 
 
-def run_case_checks(case: RoundCheckCase) -> list[CheckResult]:
-    """Run one case's engine under a fresh ledger and evaluate its checks."""
-    from repro import obs
-    from repro.core.sampling import sample_sources
-    from repro.graph import generators
+def run_case_checks(case: RunSpec, slack: int = DEFAULT_SLACK) -> list[CheckResult]:
+    """Run one case under a fresh ledger; budgets allow ``slack`` extra rounds."""
     from repro.graph.properties import estimate_diameter
 
-    g = generators.from_spec(case.graph)
-    sources = sample_sources(g, min(case.sources, g.num_vertices), seed=case.seed)
+    g, sources = case.load()
     # The paper's H: the largest finite distance from any case source — an
     # upper bound on every batch's eccentricity.
     diameter = estimate_diameter(g, sources)
+    ledger = RoundLedger()
+    res = execute(case, g, sources, rounds=ledger)
 
     if case.algorithm == "mrbc-congest":
-        from repro.core.mrbc_congest import mrbc_congest_batched
-
-        ledger = RoundLedger()
-        with obs.session(rounds=ledger):
-            res = mrbc_congest_batched(g, sources=sources, batch_size=case.batch)
         return [
             check_ledger_congest(case.name, res, ledger),
-            check_lemma8_batches(case.name, ledger, diameter, case.slack),
+            check_lemma8_batches(case.name, ledger, diameter, slack),
             check_quiescence(case.name, ledger.units()),
         ]
-
-    ledger = RoundLedger()
-    if case.algorithm == "sbbc":
-        from repro.baselines.sbbc import sbbc_engine
-
-        with obs.session(rounds=ledger):
-            res = sbbc_engine(g, sources=sources, num_hosts=case.hosts)
-    elif case.algorithm == "mrbc":
-        from repro.core.mrbc import mrbc_engine
-
-        with obs.session(rounds=ledger):
-            res = mrbc_engine(
-                g,
-                sources=sources,
-                batch_size=case.batch,
-                num_hosts=case.hosts,
-            )
-    else:
-        raise ValueError(f"unknown roundcheck algorithm {case.algorithm!r}")
 
     results = [
         *check_ledger_run(case.name, res.run, ledger),
         *check_round_budget(
-            case.name, ledger.units(), diameter, case.batch, case.slack
+            case.name, ledger.units(), diameter, case.batch, slack
         ),
         check_quiescence(case.name, ledger.units()),
         *check_work_efficiency(
@@ -364,17 +308,8 @@ def run_case_checks(case: RoundCheckCase) -> list[CheckResult]:
         ),
     ]
     if case.algorithm == "mrbc":
-        from repro.core.mrbc import mrbc_engine
-
         eager = RoundLedger()
-        with obs.session(rounds=eager):
-            mrbc_engine(
-                g,
-                sources=sources,
-                batch_size=case.batch,
-                num_hosts=case.hosts,
-                delayed_sync=False,
-            )
+        execute(replace(case, delayed_sync=False), g, sources, rounds=eager)
         results.append(
             check_delayed_rounds(
                 case.name, ledger.total_rounds(), eager.total_rounds()
@@ -384,15 +319,16 @@ def run_case_checks(case: RoundCheckCase) -> list[CheckResult]:
 
 
 def run_conformance(
-    cases: "tuple[RoundCheckCase, ...] | list[RoundCheckCase]" = DEFAULT_ROUND_SUITE,
-    progress: Callable[[RoundCheckCase], None] | None = None,
+    cases: "tuple[RunSpec, ...] | list[RunSpec]" = DEFAULT_ROUND_SUITE,
+    progress: Callable[[RunSpec], None] | None = None,
+    slack: int = DEFAULT_SLACK,
 ) -> RoundReport:
     """Run the conformance suite and assemble the PASS/FAIL report."""
     report = RoundReport()
     for case in cases:
         if progress is not None:
             progress(case)
-        report.results.extend(run_case_checks(case))
+        report.results.extend(run_case_checks(case, slack=slack))
     return report
 
 

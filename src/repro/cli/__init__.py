@@ -70,7 +70,9 @@ Each subcommand lives in its own module (:mod:`repro.cli.run`,
 :mod:`repro.cli.compare`, :mod:`repro.cli.lint`, :mod:`repro.cli.comm`,
 :mod:`repro.cli.rounds`, :mod:`repro.cli.trend`);
 shared flags and graph loading are in
-:mod:`repro.cli.common`.  This package re-exports every historical
+:mod:`repro.cli.common`, and the run, ``trace``, ``profile``, ``comm``
+and ``rounds`` commands call their engine through
+:func:`repro.runspec.execute`.  This package re-exports every historical
 ``repro.cli`` name, so imports written against the old single-module CLI
 keep working.
 """
@@ -83,7 +85,7 @@ from repro.cli.bench import bench_main
 from repro.cli.common import (
     ALGORITHMS,
     TRACEABLE,
-    _generate as _generate,  # historical import site (tests, scripts)
+    _load_graph_arg as _generate,  # historical import site (tests, scripts)
     _load_graph_arg as _load_graph_arg,
     add_logging_flags,
     log,

@@ -5,44 +5,16 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.cli.common import add_logging_flags, log, setup_logging
-
-#: Algorithms this command can run under a ledger.
-COMM_ALGORITHMS = ("mrbc", "sbbc", "mrbc-congest")
-
-
-def _run_with_ledger(args, g, sources):
-    """Run one engine invocation with a fresh ledger; return the ledger."""
-    from repro import obs
-    from repro.obs.comm import CommLedger, congest_bound_words
-
-    if args.algorithm == "mrbc-congest":
-        from repro.core.mrbc_congest import mrbc_congest
-
-        ledger = CommLedger(
-            bound_words=congest_bound_words(g.num_vertices, args.bound_factor),
-            hard_fail=args.hard_fail,
-        )
-        with obs.session(comm=ledger):
-            mrbc_congest(g, sources=sources)
-        return ledger
-    ledger = CommLedger()
-    if args.algorithm == "sbbc":
-        from repro.baselines.sbbc import sbbc_engine
-
-        with obs.session(comm=ledger):
-            sbbc_engine(g, sources=sources, num_hosts=args.hosts)
-    else:
-        from repro.core.mrbc import mrbc_engine
-
-        with obs.session(comm=ledger):
-            mrbc_engine(
-                g,
-                sources=sources,
-                batch_size=args.batch,
-                num_hosts=args.hosts,
-            )
-    return ledger
+from repro.cli.common import (
+    add_logging_flags,
+    add_run_flags,
+    emit_report,
+    load_run,
+    log,
+    run_spec,
+    setup_logging,
+)
+from repro.runspec import ALGORITHMS, execute
 
 
 def _print_breakdown(args, ledger) -> None:
@@ -121,16 +93,12 @@ def comm_main(argv: list[str]) -> int:
         description="Communication-volume observability: breakdowns, "
                     "CONGEST bound checking, model conformance",
     )
-    p.add_argument("algorithm", nargs="?", choices=COMM_ALGORITHMS,
+    p.add_argument("algorithm", nargs="?", choices=ALGORITHMS,
                    default="mrbc", help="algorithm to run (default: mrbc)")
     p.add_argument("--graph", metavar="SPEC", default=None,
                    help="edge-list file or generator spec; omit with "
                         "--check to run the default conformance suite")
-    p.add_argument("--sources", "-k", type=int, default=8,
-                   help="number of sampled sources (default: 8)")
-    p.add_argument("--hosts", type=int, default=4, help="simulated hosts")
-    p.add_argument("--batch", type=int, default=8, help="MRBC batch size")
-    p.add_argument("--seed", type=int, default=7, help="sampling seed")
+    add_run_flags(p, sources=8, hosts=4, batch=8, seed=7)
     p.add_argument("--check", action="store_true",
                    help="run predicted-vs-measured conformance checks "
                         "(exit code is the verdict)")
@@ -141,8 +109,8 @@ def comm_main(argv: list[str]) -> int:
     p.add_argument("--matrix", action="store_true",
                    help="print the host x host byte matrix (Gluon plane)")
     p.add_argument("--bound-factor", type=int, default=None, metavar="C",
-                   help="CONGEST budget constant c in B = c*ceil(log2 n) "
-                        "(default: 4)")
+                   help="CONGEST budget constant c in B = c*ceil(log2 n) for "
+                        "the breakdown; --check always uses 4 (default: 4)")
     p.add_argument("--hard-fail", action="store_true",
                    help="raise on a CONGEST bound violation instead of "
                         "recording it")
@@ -153,54 +121,40 @@ def comm_main(argv: list[str]) -> int:
     add_logging_flags(p)
     args = p.parse_args(argv)
     setup_logging(args.verbose, args.quiet)
-    if args.bound_factor is None:
-        from repro.obs.comm import DEFAULT_BOUND_FACTOR
-
-        args.bound_factor = DEFAULT_BOUND_FACTOR
 
     if args.check:
         from repro.analysis.commcheck import (
             DEFAULT_CHECK_SUITE,
-            CommCheckCase,
             render_comm_report,
             run_conformance,
         )
 
+        if args.bound_factor is not None:
+            p.error("--bound-factor applies to the breakdown only; "
+                    "--check uses the default c = 4")
         if args.graph is None:
             cases = list(DEFAULT_CHECK_SUITE)
         else:
-            cases = [CommCheckCase(
-                name=f"{args.algorithm}-{args.graph}",
-                algorithm=args.algorithm,
-                graph=args.graph,
-                hosts=args.hosts,
-                sources=args.sources,
-                batch=args.batch,
-                seed=args.seed,
-            )]
+            cases = [run_spec(p, args, args.algorithm, args.graph)]
         report = run_conformance(
             cases, progress=lambda c: log.info("checking %s ...", c.name)
         )
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json() + "\n")
-            log.info("wrote JSON report to %s", args.report)
-        if args.format == "json":
-            print(report.to_json())
-        else:
-            print(render_comm_report(report))
-        return 0 if report.ok else 1
+        return emit_report(args, report, render_comm_report)
 
     if args.graph is None:
         p.error("--graph is required unless --check runs the default suite")
-    from repro.cli.common import _load_graph_arg
-    from repro.core.sampling import sample_sources
+    from repro.obs.comm import DEFAULT_BOUND_FACTOR, CommLedger, congest_bound_words
 
-    g = _load_graph_arg(args.graph)
-    log.info("graph: %s", g)
-    sources = sample_sources(
-        g, min(args.sources, g.num_vertices), seed=args.seed
-    )
-    ledger = _run_with_ledger(args, g, sources)
+    spec = run_spec(p, args, args.algorithm, args.graph)
+    g, sources = load_run(spec)
+    if args.algorithm == "mrbc-congest":
+        factor = DEFAULT_BOUND_FACTOR if args.bound_factor is None else args.bound_factor
+        ledger = CommLedger(
+            bound_words=congest_bound_words(g.num_vertices, factor),
+            hard_fail=args.hard_fail,
+        )
+    else:
+        ledger = CommLedger()
+    execute(spec, g, sources, comm=ledger)
     _print_breakdown(args, ledger)
     return 0

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
-from repro.graph import generators
+import numpy as np
+
 from repro.graph.digraph import DiGraph
-from repro.graph.io import read_edge_list
+from repro.graph.io import load_graph
+from repro.runspec import RunSpec
 
 ALGORITHMS = ("mrbc", "sbbc", "abbc", "mfbc", "brandes")
 #: Algorithms that run on the engine and can therefore be traced.
@@ -50,16 +51,60 @@ def setup_logging(verbose: bool = False, quiet: bool = False) -> None:
     root.propagate = False
 
 
-def _generate(spec: str) -> DiGraph:
-    """Build a graph from a ``kind:arg:arg`` spec, e.g. ``rmat:8:8``."""
+def _load_graph_arg(spec: str) -> DiGraph:
+    """A ``--graph`` value (:func:`~repro.graph.io.load_graph`); a bad spec exits 1."""
     try:
-        return generators.from_spec(spec)
+        return load_graph(spec)
     except ValueError as exc:
         raise SystemExit(str(exc))
 
 
-def _load_graph_arg(spec: str) -> DiGraph:
-    """A ``--graph`` value: an edge-list path if it exists, else a spec."""
-    if os.path.exists(spec):
-        return read_edge_list(spec)
-    return _generate(spec)
+def add_run_flags(
+    p: argparse.ArgumentParser,
+    *,
+    sources: int | None = None,
+    hosts: int = 8,
+    batch: int = 16,
+    seed: int = 0,
+) -> None:
+    """Attach the ``--sources/--hosts/--batch/--seed`` block of a
+    :class:`~repro.runspec.RunSpec`, with this command's defaults."""
+    every = "all vertices" if sources is None else sources
+    p.add_argument("--sources", "-k", type=int, default=sources,
+                   help="number of sampled sources, capped at the vertex "
+                        f"count (default: {every})")
+    p.add_argument("--hosts", type=int, default=hosts, help="simulated hosts")
+    p.add_argument("--batch", type=int, default=batch,
+                   help="sources per MRBC batch")
+    p.add_argument("--seed", type=int, default=seed, help="sampling seed")
+
+
+def run_spec(
+    p: argparse.ArgumentParser, args: argparse.Namespace, algorithm: str, graph: str
+) -> RunSpec:
+    """The spec the run flags describe; a value it rejects is an argparse error."""
+    try:
+        return RunSpec(f"{algorithm}-{graph}", algorithm, graph,
+                       args.hosts, args.sources, args.batch, args.seed)
+    except ValueError as exc:
+        p.error(str(exc))
+
+
+def load_run(spec: RunSpec) -> tuple[DiGraph, np.ndarray]:
+    """``spec.load()`` for a CLI: a bad graph spec exits 1."""
+    try:
+        g, sources = spec.load()
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    log.info("graph: %s", g)
+    return g, sources
+
+
+def emit_report(args: argparse.Namespace, report, render) -> int:
+    """Write ``--report``, print ``report`` per ``--format``; return the verdict."""
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json() + "\n")
+        log.info("wrote JSON report to %s", args.report)
+    print(report.to_json() if args.format == "json" else render(report))
+    return 0 if report.ok else 1

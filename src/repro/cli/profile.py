@@ -5,21 +5,19 @@ from __future__ import annotations
 import argparse
 import os
 
-import numpy as np
-
 from repro import obs
 from repro.analysis.reporting import format_table
-from repro.baselines.sbbc import sbbc_engine
 from repro.cli.common import (
     TRACEABLE,
-    _load_graph_arg,
     add_logging_flags,
+    add_run_flags,
+    load_run,
     log,
+    run_spec,
     setup_logging,
 )
 from repro.cluster.model import ClusterModel
-from repro.core.mrbc import mrbc_engine
-from repro.core.sampling import sample_sources
+from repro.runspec import execute
 
 
 def profile_main(argv: list[str]) -> int:
@@ -40,11 +38,7 @@ def profile_main(argv: list[str]) -> int:
     p.add_argument("--graph", required=True, metavar="SPEC",
                    help="edge-list file, or generator spec "
                         "(rmat:scale:ef | grid:r:c | webcrawl:core:tails | er:n:deg)")
-    p.add_argument("--sources", "-k", type=int, default=None,
-                   help="number of sampled sources (default: all vertices)")
-    p.add_argument("--hosts", type=int, default=8, help="simulated hosts")
-    p.add_argument("--batch", type=int, default=16, help="MRBC batch size")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    add_run_flags(p)
     p.add_argument("--mode", choices=("cpu", "memory", "all"), default="cpu",
                    help="what to profile (default: cpu)")
     p.add_argument("--top", type=int, default=10,
@@ -55,12 +49,8 @@ def profile_main(argv: list[str]) -> int:
     args = p.parse_args(argv)
     setup_logging(args.verbose, args.quiet)
 
-    g = _load_graph_arg(args.graph)
-    log.info("graph: %s", g)
-    if args.sources is None:
-        sources = np.arange(g.num_vertices, dtype=np.int64)
-    else:
-        sources = sample_sources(g, args.sources, seed=args.seed)
+    spec = run_spec(p, args, args.algorithm, args.graph)
+    g, sources = load_run(spec)
     model = ClusterModel(args.hosts)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -75,11 +65,7 @@ def profile_main(argv: list[str]) -> int:
             f"run:{args.algorithm}", kind="run", algorithm=args.algorithm,
             graph=args.graph, hosts=args.hosts,
         ):
-            if args.algorithm == "sbbc":
-                sbbc_engine(g, sources=sources, num_hosts=args.hosts)
-            else:
-                mrbc_engine(g, sources=sources, batch_size=args.batch,
-                            num_hosts=args.hosts)
+            execute(spec, g, sources)
 
     if isinstance(sink, obs.MemorySink):
         events = sink.events

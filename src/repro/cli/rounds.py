@@ -5,39 +5,16 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.cli.common import add_logging_flags, log, setup_logging
-
-#: Algorithms this command can run under a round ledger.
-ROUNDS_ALGORITHMS = ("mrbc", "sbbc", "mrbc-congest")
-
-
-def _run_with_ledger(args, g, sources):
-    """Run one engine invocation with a fresh round ledger; return it."""
-    from repro import obs
-    from repro.obs.rounds import RoundLedger
-
-    ledger = RoundLedger()
-    if args.algorithm == "mrbc-congest":
-        from repro.core.mrbc_congest import mrbc_congest_batched
-
-        with obs.session(rounds=ledger):
-            mrbc_congest_batched(g, sources=sources, batch_size=args.batch)
-    elif args.algorithm == "sbbc":
-        from repro.baselines.sbbc import sbbc_engine
-
-        with obs.session(rounds=ledger):
-            sbbc_engine(g, sources=sources, num_hosts=args.hosts)
-    else:
-        from repro.core.mrbc import mrbc_engine
-
-        with obs.session(rounds=ledger):
-            mrbc_engine(
-                g,
-                sources=sources,
-                batch_size=args.batch,
-                num_hosts=args.hosts,
-            )
-    return ledger
+from repro.cli.common import (
+    add_logging_flags,
+    add_run_flags,
+    emit_report,
+    load_run,
+    log,
+    run_spec,
+    setup_logging,
+)
+from repro.runspec import ALGORITHMS, execute
 
 
 def _render_curve(series: list[int], width: int = 40) -> str:
@@ -115,16 +92,12 @@ def rounds_main(argv: list[str]) -> int:
         description="Round-efficiency observability: per-batch round "
                     "accounting, convergence curves, bound conformance",
     )
-    p.add_argument("algorithm", nargs="?", choices=ROUNDS_ALGORITHMS,
+    p.add_argument("algorithm", nargs="?", choices=ALGORITHMS,
                    default="mrbc", help="algorithm to run (default: mrbc)")
     p.add_argument("--graph", metavar="SPEC", default=None,
                    help="edge-list file or generator spec; omit with "
                         "--check to run the default conformance suite")
-    p.add_argument("--sources", "-k", type=int, default=8,
-                   help="number of sampled sources (default: 8)")
-    p.add_argument("--hosts", type=int, default=4, help="simulated hosts")
-    p.add_argument("--batch", type=int, default=4, help="source batch size")
-    p.add_argument("--seed", type=int, default=7, help="sampling seed")
+    add_run_flags(p, sources=8, hosts=4, batch=4, seed=7)
     p.add_argument("--check", action="store_true",
                    help="run predicted-vs-measured round-bound checks "
                         "(exit code is the verdict)")
@@ -146,50 +119,28 @@ def rounds_main(argv: list[str]) -> int:
         from repro.analysis.roundcheck import (
             DEFAULT_ROUND_SUITE,
             DEFAULT_SLACK,
-            RoundCheckCase,
             render_rounds_report,
             run_conformance,
         )
 
-        slack = DEFAULT_SLACK if args.slack is None else args.slack
         if args.graph is None:
-            from dataclasses import replace
-
-            cases = [replace(c, slack=slack) for c in DEFAULT_ROUND_SUITE]
+            cases = list(DEFAULT_ROUND_SUITE)
         else:
-            cases = [RoundCheckCase(
-                name=f"{args.algorithm}-{args.graph}",
-                algorithm=args.algorithm,
-                graph=args.graph,
-                hosts=args.hosts,
-                sources=args.sources,
-                batch=args.batch,
-                seed=args.seed,
-                slack=slack,
-            )]
+            cases = [run_spec(p, args, args.algorithm, args.graph)]
         report = run_conformance(
-            cases, progress=lambda c: log.info("checking %s ...", c.name)
+            cases,
+            progress=lambda c: log.info("checking %s ...", c.name),
+            slack=DEFAULT_SLACK if args.slack is None else args.slack,
         )
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json() + "\n")
-            log.info("wrote JSON report to %s", args.report)
-        if args.format == "json":
-            print(report.to_json())
-        else:
-            print(render_rounds_report(report))
-        return 0 if report.ok else 1
+        return emit_report(args, report, render_rounds_report)
 
     if args.graph is None:
         p.error("--graph is required unless --check runs the default suite")
-    from repro.cli.common import _load_graph_arg
-    from repro.core.sampling import sample_sources
+    from repro.obs.rounds import RoundLedger
 
-    g = _load_graph_arg(args.graph)
-    log.info("graph: %s", g)
-    sources = sample_sources(
-        g, min(args.sources, g.num_vertices), seed=args.seed
-    )
-    ledger = _run_with_ledger(args, g, sources)
+    spec = run_spec(p, args, args.algorithm, args.graph)
+    g, sources = load_run(spec)
+    ledger = RoundLedger()
+    execute(spec, g, sources, rounds=ledger)
     _print_breakdown(args, ledger)
     return 0

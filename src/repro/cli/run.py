@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
@@ -10,49 +11,39 @@ from repro.analysis.reporting import format_table
 from repro.baselines.abbc import abbc, abbc_simulated_time
 from repro.baselines.brandes import brandes_bc
 from repro.baselines.mfbc import mfbc
-from repro.baselines.sbbc import sbbc_engine
 from repro.cli.common import (
     ALGORITHMS,
-    _generate,
     add_logging_flags,
+    add_run_flags,
+    load_run,
     log,
+    run_spec,
     setup_logging,
 )
 from repro.cluster.model import ClusterModel
-from repro.core.mrbc import mrbc_engine
-from repro.core.sampling import sample_sources
-from repro.engine.partition import partition_graph
 from repro.graph.digraph import DiGraph
-from repro.graph.io import read_edge_list
+from repro.runspec import RunSpec, execute
 
 
 def _run_one(
-    algo: str,
-    g: DiGraph,
-    sources: np.ndarray,
-    hosts: int,
-    batch: int,
+    spec: RunSpec, g: DiGraph, sources: np.ndarray
 ) -> tuple[np.ndarray, dict[str, object]]:
-    model = ClusterModel(hosts)
-    if algo == "brandes":
+    model = ClusterModel(spec.hosts)
+    if spec.algorithm == "brandes":
         return brandes_bc(g, sources=sources), {"rounds": "-", "time (s)": "-"}
-    if algo == "abbc":
+    if spec.algorithm == "abbc":
         res = abbc(g, sources=sources)
         return res.bc, {
             "rounds": "-",
             "time (s)": f"{abbc_simulated_time(res, g):.5f}",
         }
-    if algo == "mfbc":
-        res = mfbc(g, sources=sources, batch_size=batch, num_hosts=hosts)
+    if spec.algorithm == "mfbc":
+        res = mfbc(g, sources=sources, batch_size=spec.batch, num_hosts=spec.hosts)
         return res.bc, {
             "rounds": res.iterations,
             "time (s)": f"{model.time_run(res.run).total:.5f}",
         }
-    pg = partition_graph(g, hosts, "cvc")
-    if algo == "sbbc":
-        res = sbbc_engine(g, sources=sources, partition=pg)
-    else:
-        res = mrbc_engine(g, sources=sources, batch_size=batch, partition=pg)
+    res = execute(spec, g, sources)
     return res.bc, {
         "rounds": res.total_rounds,
         "time (s)": f"{model.time_run(res.run).total:.5f}",
@@ -74,32 +65,23 @@ def run_main(argv: list[str]) -> int:
         "--algorithm", "-a", nargs="+", default=["mrbc"],
         choices=ALGORITHMS, help="algorithms to run (default: mrbc)",
     )
-    p.add_argument("--sources", "-k", type=int, default=None,
-                   help="number of sampled sources (default: all vertices)")
-    p.add_argument("--hosts", type=int, default=8, help="simulated hosts")
-    p.add_argument("--batch", type=int, default=16, help="MRBC batch size")
+    add_run_flags(p)
     p.add_argument("--top", type=int, default=10,
                    help="print this many top-BC vertices")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     add_logging_flags(p)
     args = p.parse_args(argv)
     setup_logging(args.verbose, args.quiet)
 
     if bool(args.graph) == bool(args.generate):
         p.error("provide exactly one of: a graph file, or --generate SPEC")
-    g = _generate(args.generate) if args.generate else read_edge_list(args.graph)
-    log.info("graph: %s", g)
-
-    if args.sources is None:
-        sources = np.arange(g.num_vertices, dtype=np.int64)
-    else:
-        sources = sample_sources(g, args.sources, seed=args.seed)
+    spec = run_spec(p, args, args.algorithm[0], args.graph or args.generate)
+    g, sources = load_run(spec)
 
     rows = []
     bc_by_algo: dict[str, np.ndarray] = {}
     for algo in args.algorithm:
         log.debug("running %s on %d sources", algo, sources.size)
-        bc, stats = _run_one(algo, g, sources, args.hosts, args.batch)
+        bc, stats = _run_one(replace(spec, algorithm=algo), g, sources)
         bc_by_algo[algo] = bc
         rows.append([algo, len(sources), stats["rounds"], stats["time (s)"]])
     print(format_table(["algorithm", "sources", "rounds", "time (s)"], rows))

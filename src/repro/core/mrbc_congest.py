@@ -280,6 +280,8 @@ class BatchedMRBCResult:
     total_rounds: int
     total_messages: int
     per_batch_rounds: list[int]
+    #: The per-batch CONGEST runs, in batch order.
+    batches: list[MRBCResult]
 
     def rounds_per_source(self) -> float:
         """Table 1's metric at the CONGEST level."""
@@ -306,6 +308,7 @@ def mrbc_congest_batched(
     total_rounds = 0
     total_messages = 0
     per_batch: list[int] = []
+    batches: list[MRBCResult] = []
     rledger = obs.current().rounds
     for b0, batch in enumerate(iter_batches(src, batch_size)):
         # Label this batch's network runs in the round ledger, so the
@@ -318,6 +321,7 @@ def mrbc_congest_batched(
         with ctx:
             res = mrbc_congest(g, sources=batch)
         bc += res.bc
+        batches.append(res)
         per_batch.append(res.total_rounds)
         total_rounds += res.total_rounds
         total_messages += res.total_messages
@@ -328,4 +332,5 @@ def mrbc_congest_batched(
         total_rounds=total_rounds,
         total_messages=total_messages,
         per_batch_rounds=per_batch,
+        batches=batches,
     )

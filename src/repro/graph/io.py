@@ -16,6 +16,7 @@ import os
 import numpy as np
 
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import from_spec
 
 
 def write_edge_list(g: DiGraph, path: str | os.PathLike) -> None:
@@ -58,6 +59,17 @@ def read_edge_list(path: str | os.PathLike, num_vertices: int | None = None) -> 
     if n is None:
         n = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1) if src.size else 0
     return DiGraph(n, src, dst)
+
+
+def load_graph(spec: str) -> DiGraph:
+    """A graph argument: an edge-list path if it exists, else a generator spec.
+
+    Specs are :func:`~repro.graph.generators.from_spec`'s (``rmat:8:8``,
+    ``er:60:3``, ...); an unknown kind raises :class:`ValueError`.
+    """
+    if os.path.exists(spec):
+        return read_edge_list(spec)
+    return from_spec(spec)
 
 
 def save_npz(g: DiGraph, path: str | os.PathLike) -> None:

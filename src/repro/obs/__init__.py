@@ -18,9 +18,12 @@ the instrumentation in the engines costs a flag check when off::
 
     from repro import obs
     from repro.obs import FileSink
+    from repro.runspec import RunSpec, execute
 
+    spec = RunSpec("er60", "mrbc", "er:60:3", hosts=8)
+    g, srcs = spec.load()
     with obs.session(FileSink("events.jsonl"), model=ClusterModel(8)) as tele:
-        res = mrbc_engine(g, sources=srcs, batch_size=8)
+        res = execute(spec, g, srcs)
     # events.jsonl now holds spans, per-round samples, and metric snapshots
 
 See ``docs/OBSERVABILITY.md`` for the span model and manifest schema, and
@@ -36,7 +39,6 @@ from repro.obs.bench import (
     BENCH_VERSION,
     DEFAULT_SUITE,
     SMOKE_SUITE,
-    BenchCase,
     BenchComparison,
     compare_bench,
     deterministic_view,
@@ -106,7 +108,6 @@ __all__ = [
     "ROUNDS_SCHEMA_VERSION",
     "SMOKE_SUITE",
     "WORD_BYTES",
-    "BenchCase",
     "BenchComparison",
     "BoundViolation",
     "CommLedger",

@@ -32,6 +32,7 @@ from typing import Any, Callable
 
 from repro.obs.manifest import git_sha
 from repro.obs.metrics import quantile
+from repro.runspec import RunSpec, execute
 
 #: Bumped on any incompatible snapshot schema change; readers refuse newer.
 BENCH_VERSION = 1
@@ -63,41 +64,29 @@ GATED_ROUND_COUNTS = (
 )
 
 
-@dataclass(frozen=True)
-class BenchCase:
-    """One pinned engine configuration in the suite."""
-
-    name: str
-    algorithm: str  # "mrbc" | "sbbc"
-    graph: str  # generator spec, e.g. "er:200:4"
-    hosts: int
-    sources: int
-    batch: int = 16
-    seed: int = 7  # source-sampling seed (graph specs use the default seed)
-
-
 #: The default suite: the paper's three graph regimes (random power-law,
 #: web-crawl with long tails, high-diameter road) for both engines, plus a
 #: host-count and a batch-size variation for MRBC.
-DEFAULT_SUITE: tuple[BenchCase, ...] = (
-    BenchCase("mrbc-er200-h8", "mrbc", "er:200:4", hosts=8, sources=32),
-    BenchCase("mrbc-er200-h4", "mrbc", "er:200:4", hosts=4, sources=32),
-    BenchCase("mrbc-web-h8", "mrbc", "webcrawl:120:80", hosts=8, sources=32),
-    BenchCase("mrbc-road-h8", "mrbc", "grid:16:16", hosts=8, sources=32),
-    BenchCase("mrbc-rmat-h8", "mrbc", "rmat:8:8", hosts=8, sources=32),
-    BenchCase("mrbc-rmat-h8-b8", "mrbc", "rmat:8:8", hosts=8, sources=32, batch=8),
-    BenchCase("sbbc-er200-h8", "sbbc", "er:200:4", hosts=8, sources=32),
-    BenchCase("sbbc-road-h8", "sbbc", "grid:16:16", hosts=8, sources=32),
-    BenchCase("sbbc-rmat-h8", "sbbc", "rmat:8:8", hosts=8, sources=32),
+DEFAULT_SUITE: tuple[RunSpec, ...] = (
+    RunSpec("mrbc-er200-h8", "mrbc", "er:200:4", hosts=8, sources=32, batch=16),
+    RunSpec("mrbc-er200-h4", "mrbc", "er:200:4", hosts=4, sources=32, batch=16),
+    RunSpec("mrbc-web-h8", "mrbc", "webcrawl:120:80", hosts=8, sources=32, batch=16),
+    RunSpec("mrbc-road-h8", "mrbc", "grid:16:16", hosts=8, sources=32, batch=16),
+    RunSpec("mrbc-rmat-h8", "mrbc", "rmat:8:8", hosts=8, sources=32, batch=16),
+    RunSpec("mrbc-rmat-h8-b8", "mrbc", "rmat:8:8", hosts=8, sources=32, batch=8),
+    RunSpec("sbbc-er200-h8", "sbbc", "er:200:4", hosts=8, sources=32, batch=16),
+    RunSpec("sbbc-road-h8", "sbbc", "grid:16:16", hosts=8, sources=32, batch=16),
+    RunSpec("sbbc-rmat-h8", "sbbc", "rmat:8:8", hosts=8, sources=32, batch=16),
 )
 
 #: The CI-sized suite: seconds, not minutes, but still both engines and
-#: both the low- and high-diameter regimes.
-SMOKE_SUITE: tuple[BenchCase, ...] = (
-    BenchCase("mrbc-er60-h4", "mrbc", "er:60:3", hosts=4, sources=8, batch=8),
-    BenchCase("mrbc-road8-h4", "mrbc", "grid:8:8", hosts=4, sources=8, batch=8),
-    BenchCase("sbbc-er60-h4", "sbbc", "er:60:3", hosts=4, sources=8),
-    BenchCase("sbbc-road8-h4", "sbbc", "grid:8:8", hosts=4, sources=8),
+#: both the low- and high-diameter regimes.  SBBC ignores ``batch``; its
+#: cases keep the 16 their snapshot ``config`` has always recorded.
+SMOKE_SUITE: tuple[RunSpec, ...] = (
+    RunSpec("mrbc-er60-h4", "mrbc", "er:60:3", hosts=4, sources=8, batch=8),
+    RunSpec("mrbc-road8-h4", "mrbc", "grid:8:8", hosts=4, sources=8, batch=8),
+    RunSpec("sbbc-er60-h4", "sbbc", "er:60:3", hosts=4, sources=8, batch=16),
+    RunSpec("sbbc-road8-h4", "sbbc", "grid:8:8", hosts=4, sources=8, batch=16),
 )
 
 
@@ -111,25 +100,7 @@ def environment_fingerprint() -> dict[str, str]:
     }
 
 
-def _run_engine(case: BenchCase, g: Any, sources: Any) -> Any:
-    # Imported lazily so ``repro.obs`` keeps no engine dependency at import.
-    if case.algorithm == "sbbc":
-        from repro.baselines.sbbc import sbbc_engine
-
-        return sbbc_engine(g, sources=sources, num_hosts=case.hosts)
-    if case.algorithm == "mrbc":
-        from repro.core.mrbc import mrbc_engine
-
-        return mrbc_engine(
-            g,
-            sources=sources,
-            batch_size=case.batch,
-            num_hosts=case.hosts,
-        )
-    raise ValueError(f"unknown bench algorithm {case.algorithm!r}")
-
-
-def run_case(case: BenchCase, repeats: int = 3, warmup: int = 1) -> dict[str, Any]:
+def run_case(case: RunSpec, repeats: int = 3, warmup: int = 1) -> dict[str, Any]:
     """Run one case ``warmup + repeats`` times; record counts and wall times.
 
     Every repetition runs with a fresh :class:`~repro.obs.comm.CommLedger`
@@ -138,19 +109,13 @@ def run_case(case: BenchCase, repeats: int = 3, warmup: int = 1) -> dict[str, An
     gate communication and round-complexity regressions alongside the
     engine's deterministic counts.
     """
-    from repro import obs
     from repro.cluster.model import ClusterModel
-    from repro.core.sampling import sample_sources
-    from repro.graph import generators
     from repro.obs.comm import CommLedger
     from repro.obs.rounds import RoundLedger
 
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    g = generators.from_spec(case.graph)
-    sources = sample_sources(
-        g, min(case.sources, g.num_vertices), seed=case.seed
-    )
+    g, sources = case.load()
     samples: list[float] = []
     res = None
     ledger = None
@@ -158,10 +123,9 @@ def run_case(case: BenchCase, repeats: int = 3, warmup: int = 1) -> dict[str, An
     for i in range(warmup + repeats):
         ledger = CommLedger()
         rledger = RoundLedger()
-        with obs.session(comm=ledger, rounds=rledger):
-            t0 = time.perf_counter()
-            res = _run_engine(case, g, sources)
-            dt = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        res = execute(case, g, sources, comm=ledger, rounds=rledger)
+        dt = time.perf_counter() - t0
         if i >= warmup:
             samples.append(dt)
     deterministic = dict(res.run.deterministic_signature())
@@ -195,11 +159,11 @@ def run_case(case: BenchCase, repeats: int = 3, warmup: int = 1) -> dict[str, An
 
 
 def run_suite(
-    cases: "tuple[BenchCase, ...] | list[BenchCase]",
+    cases: "tuple[RunSpec, ...] | list[RunSpec]",
     repeats: int = 3,
     warmup: int = 1,
     suite_name: str = "default",
-    progress: Callable[[BenchCase], None] | None = None,
+    progress: Callable[[RunSpec], None] | None = None,
 ) -> dict[str, Any]:
     """Run every case and assemble one versioned bench snapshot document."""
     recorded = []

@@ -59,3 +59,39 @@ class TestMain:
         rc = main(["--generate", "er:30:3", "-a", "abbc", "mfbc",
                    "--sources", "4", "--hosts", "2", "--batch", "4"])
         assert rc == 0
+
+
+#: One minimal invocation per command that builds a RunSpec from flags.
+RUN_COMMANDS = {
+    "repro": ["--generate", "er:10:2", "-k", "4"],
+    "comm": ["comm", "mrbc", "--graph", "er:10:2"],
+    "rounds": ["rounds", "sbbc", "--graph", "er:10:2"],
+    "trace": ["trace", "mrbc", "--graph", "er:10:2"],
+}
+
+
+class TestRunFlags:
+    @pytest.mark.parametrize("flag", ["--hosts", "--batch", "-k"])
+    @pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
+    def test_zero_is_an_argparse_error(self, command, flag, tmp_path, capsys):
+        argv = [*RUN_COMMANDS[command], flag, "0"]
+        if command == "trace":
+            argv += ["--out", str(tmp_path / "t")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        field = {"--hosts": "hosts", "--batch": "batch", "-k": "sources"}[flag]
+        assert f"{field} must be >= 1" in capsys.readouterr().err
+
+    def test_sources_capped_at_vertex_count(self, capsys):
+        rc = main(["--generate", "er:10:2", "-a", "mrbc", "-k", "20"])
+        assert rc == 0
+        header, _, row = capsys.readouterr().out.splitlines()[:3]
+        assert header.split()[:2] == ["algorithm", "sources"]
+        assert row.split()[:2] == ["mrbc", "10"]
+
+    def test_bad_graph_spec_exits_1(self):
+        # SystemExit with a message exits 1 (argparse errors exit 2).
+        with pytest.raises(SystemExit) as exc:
+            main(["comm", "mrbc", "--graph", "torus:3"])
+        assert "unknown generator kind" in exc.value.code

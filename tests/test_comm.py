@@ -12,7 +12,6 @@ import pytest
 
 from repro import obs
 from repro.analysis.commcheck import (
-    CommCheckCase,
     check_congest_bound,
     run_case_checks,
     run_conformance,
@@ -33,6 +32,7 @@ from repro.obs.comm import (
     congest_bound_words,
 )
 from repro.obs.manifest import build_manifest, load_manifest, write_manifest
+from repro.runspec import RunSpec
 from repro.runtime.errors import ChannelBandwidthError
 
 
@@ -175,10 +175,10 @@ class TestBandwidthBound:
 class TestConformance:
     def test_small_suite_passes_end_to_end(self):
         cases = [
-            CommCheckCase("t-mrbc", "mrbc", "er:30:3",
-                          hosts=4, sources=4, batch=4, seed=3),
-            CommCheckCase("t-congest", "mrbc-congest", "er:30:3",
-                          hosts=4, sources=4, batch=4, seed=3),
+            RunSpec("t-mrbc", "mrbc", "er:30:3",
+                    hosts=4, sources=4, batch=4, seed=3),
+            RunSpec("t-congest", "mrbc-congest", "er:30:3",
+                    hosts=4, sources=4, batch=4, seed=3),
         ]
         report = run_conformance(cases)
         bad = [r for r in report.results if not r.ok]
@@ -191,8 +191,8 @@ class TestConformance:
 
     def test_sbbc_case_checks(self):
         results = run_case_checks(
-            CommCheckCase("t-sbbc", "sbbc", "er:30:3",
-                          hosts=4, sources=4, batch=4, seed=3)
+            RunSpec("t-sbbc", "sbbc", "er:30:3",
+                    hosts=4, sources=4, batch=4, seed=3)
         )
         assert results and all(r.ok for r in results)
 
@@ -294,6 +294,17 @@ class TestCommCLI:
         assert rc == 0
         assert "max channel load" in out
         assert "violations: 0" in out
+
+    def test_check_rejects_bound_factor(self, capsys):
+        # --check always budgets B with the default c; a factor passed
+        # alongside it used to be ignored silently.
+        with pytest.raises(SystemExit) as exc:
+            cli_main([
+                "comm", "mrbc-congest", "--graph", "er:60:3", "--check",
+                "--bound-factor", "1",
+            ])
+        assert exc.value.code == 2
+        assert "--bound-factor" in capsys.readouterr().err
 
     def test_check_single_case_with_report(self, tmp_path, capsys):
         report = tmp_path / "comm-report.json"

@@ -22,6 +22,7 @@ from repro.obs.events import Event
 from repro.obs.metrics import Histogram, MetricsRegistry, quantile
 from repro.obs.profile import PhaseProfiler, aggregate_profile_events
 from repro.obs.sinks import FileSink, MemorySink, NullSink
+from repro.runspec import RunSpec
 from repro.analysis.tracediff import (
     diff_runs,
     load_run,
@@ -31,8 +32,8 @@ from repro.analysis.tracediff import (
 )
 
 MINI_SUITE = (
-    bench.BenchCase("mini-er30", "mrbc", "er:30:3", hosts=2, sources=4, batch=4),
-    bench.BenchCase("mini-sbbc30", "sbbc", "er:30:3", hosts=2, sources=4),
+    RunSpec("mini-er30", "mrbc", "er:30:3", hosts=2, sources=4, batch=4),
+    RunSpec("mini-sbbc30", "sbbc", "er:30:3", hosts=2, sources=4, batch=16),
 )
 
 

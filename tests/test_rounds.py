@@ -11,7 +11,6 @@ from types import SimpleNamespace
 from repro import obs
 from repro.analysis.roundcheck import (
     DEFAULT_SLACK,
-    RoundCheckCase,
     check_delayed_rounds,
     check_lemma8_batches,
     check_quiescence,
@@ -28,6 +27,7 @@ from repro.obs.bench import GATED_ROUND_COUNTS, compare_bench
 from repro.obs.manifest import build_manifest, load_manifest, write_manifest
 from repro.obs.rounds import RoundLedger, UnitRounds
 from repro.resilience import FaultPlan, FaultSpec, ResilienceContext
+from repro.runspec import RunSpec
 
 
 def rs_stub(
@@ -230,7 +230,7 @@ class TestRoundChecks:
 
     def test_mrbc_case_checks_pass_end_to_end(self):
         results = run_case_checks(
-            RoundCheckCase("t-mrbc", "mrbc", "er:30:3", sources=4, batch=4, seed=3)
+            RunSpec("t-mrbc", "mrbc", "er:30:3", hosts=4, sources=4, batch=4, seed=3)
         )
         bad = [r for r in results if not r.ok]
         assert not bad, bad
@@ -243,9 +243,9 @@ class TestRoundChecks:
 
     def test_congest_case_checks_pass_end_to_end(self):
         results = run_case_checks(
-            RoundCheckCase(
+            RunSpec(
                 "t-congest", "mrbc-congest", "er:30:3",
-                sources=4, batch=2, seed=3,
+                hosts=4, sources=4, batch=2, seed=3,
             )
         )
         bad = [r for r in results if not r.ok]
@@ -256,7 +256,7 @@ class TestRoundChecks:
 
     def test_conformance_report_shape(self):
         report = run_conformance(
-            [RoundCheckCase("t-sbbc", "sbbc", "er:30:3", sources=3, seed=3)]
+            [RunSpec("t-sbbc", "sbbc", "er:30:3", hosts=4, sources=3, batch=4, seed=3)]
         )
         assert report.ok
         doc = report.to_dict()
