@@ -59,6 +59,7 @@ from repro.runtime.arrays import (
     MasterColumns,
     RowStateView,
     expand_csr,
+    sorted_unique,
 )
 from repro.runtime.plane import GluonArrayPlane, resolve_partition
 from repro.runtime.superstep import SuperstepRuntime
@@ -145,7 +146,9 @@ class _ArrayBatchExecutor:
     :class:`~repro.runtime.arrays.HostArena` (every host's proxy rows in
     one arena), master state is
     :class:`~repro.runtime.arrays.MasterColumns`, and every step is a
-    whole-column sweep over all hosts' items.  Three rules fix the
+    whole-column sweep over all hosts' items.  A round reads only what
+    it touches: the maintained schedule ``head``, one backward bucket,
+    and the cells listed in ``touched``.  Three rules fix the
     engine counts, ledger entries and floating-point results down to the
     bit; the golden signatures and output digests in
     ``tests/test_plane_equivalence.py`` pin them:
@@ -195,6 +198,9 @@ class _ArrayBatchExecutor:
         for si, s in enumerate(batch):
             self.masters.initialize_source(si, int(s))
         self.delta: np.ndarray | None = None
+        #: Arena cells ``row * k + si`` written this round that the next
+        #: staging step must send (eager relax, backward credit).
+        self.touched: list[np.ndarray] = []
 
     # -- forward phase -----------------------------------------------------
 
@@ -219,7 +225,9 @@ class _ArrayBatchExecutor:
         :class:`MasterVertexState`) is then recomputed once per touched
         cell, a pure function of the contribution table.  A fired entry
         must never change: all of its σ contributions arrive before its
-        fire round.
+        fire round.  An unfired entry's d* never grows either (each
+        host's contribution only improves), so lowering the master's
+        schedule ``head`` to each written key keeps it exact.
         """
         M = self.masters
         present = [
@@ -250,7 +258,7 @@ class _ArrayBatchExecutor:
             M.contrib_sigma[sw, iw, gw] = gg
         # Recompute (d*, σ*) for every delivered cell — idempotent for
         # the stale-filtered ones, so the full set is safe.
-        cells = np.unique(si * self.n + gids)
+        cells = sorted_unique(si * self.n + gids)
         si_u = cells // self.n
         g_u = cells % self.n
         sub_d = M.contrib_d[:, si_u, g_u]
@@ -264,22 +272,30 @@ class _ArrayBatchExecutor:
         assert not (
             fired & (d_star == cur_d) & (sig_star != M.best_sigma[si_u, g_u])
         ).any(), "sigma update after fire"
+        M.unfired += np.bincount(si_u[cur_d == INF], minlength=self.k)
+        live = ~fired
+        np.minimum.at(
+            M.head, g_u[live], d_star[live] * (self.k + 1) + si_u[live]
+        )
         M.ent_d[si_u, g_u] = d_star
         M.best_sigma[si_u, g_u] = sig_star
 
     def _emit_fires(self, rnd: int, rs: RoundStats):
         """Evaluate the CONGEST send rule over all masters at once.
 
-        The head of each master's unfired schedule is the min of
-        ``d*(k+1)+si`` over unfired present cells; it fires when
-        ``d + sent_prefix + 1 == rnd`` (send rounds strictly increase
-        along the sorted list, so fired entries form a stable prefix).
-        Returns (per-host fire blocks, fired count, any_pending).
+        ``MasterColumns.head[gid]`` is the master's minimum
+        ``d*(k+1)+si`` over unfired present cells, kept current by the
+        inbox merge; the head fires when ``d + sent_prefix + 1 == rnd``
+        (send rounds strictly increase along the sorted list, so fired
+        entries form a stable prefix).  The check is one pass over the
+        n-vector of heads; a firing master's head is then recomputed
+        from its own k cells.  Returns (per-host fire blocks, fired
+        count, any_pending).
         """
         M = self.masters
-        kmin = M.schedule_key().min(axis=0)
-        has = kmin < BIG
-        due = np.where(has, kmin // (self.k + 1), 0) + M.sent_prefix + 1
+        head = M.head
+        has = head < BIG
+        due = np.where(has, head // (self.k + 1), 0) + M.sent_prefix + 1
         fire = has & (due == rnd)
         missed = has & (due < rnd)
         assert not missed.any(), "missed fire: an entry was due earlier"
@@ -287,11 +303,13 @@ class _ArrayBatchExecutor:
         blocks = [None] * self.H
         if g.size:
             g = g[M.order_by_seq(g)]
-            si_f = (kmin[g] % (self.k + 1)).astype(np.int64, copy=False)
-            d_f = (kmin[g] // (self.k + 1)).astype(np.int64, copy=False)
+            si_f = head[g] % (self.k + 1)
+            d_f = head[g] // (self.k + 1)
             M.fired[si_f, g] = True
             M.tau[si_f, g] = rnd
             M.sent_prefix[g] += 1
+            M.unfired -= np.bincount(si_f, minlength=self.k)
+            M.refresh_head(g)
             hosts_f = self.pg.master_of[g]
             blocks = GluonArrayPlane._split_by_dest(
                 g, hosts_f, [si_f, d_f, M.best_sigma[si_f, g]], self.H
@@ -299,7 +317,7 @@ class _ArrayBatchExecutor:
             for h, c in enumerate(np.bincount(hosts_f, minlength=self.H)):
                 if c:
                     rs.compute[h].struct_ops += int(c)
-        any_pending = bool(((M.ent_d != INF) & ~M.fired).any())
+        any_pending = bool((M.head < BIG).any())
         return blocks, int(g.size), any_pending
 
     def _relax_forward(self, deliveries, rs: RoundStats) -> None:
@@ -426,7 +444,7 @@ class _ArrayBatchExecutor:
                     if delayed:
                         A.unsent.set_many(bw)
                     else:
-                        A.dirty[bw, bs] = True
+                        self.touched.append(bw * k + bs)
                     n_better += np.bincount(ev_h[bet], minlength=self.H)
                 if eq.any():
                     ew, es = wt[eq], ws[eq]
@@ -436,7 +454,7 @@ class _ArrayBatchExecutor:
                         A.sent_d[ew[reset], es[reset]] = -1
                         A.unsent.set_many(ew)
                     else:
-                        A.dirty[ew, es] = True
+                        self.touched.append(ew * k + es)
                     n_equal += np.bincount(ev_h[eq], minlength=self.H)
             multi = order[~single]
             if multi.size:
@@ -531,8 +549,7 @@ class _ArrayBatchExecutor:
             if unsent_rows:
                 A.unsent.set_many(np.array(unsent_rows, dtype=np.int64))
         elif dirty_pos:
-            dp = np.array(dirty_pos, dtype=np.int64)
-            A.dirty[ua[dp], us[dp]] = True
+            self.touched.append(ucells[np.array(dirty_pos, dtype=np.int64)])
 
     def _stage_delayed(self, rnd: int, rs: RoundStats):
         """Vectorized §4.3 staging: derive each pending vertex's sorted
@@ -587,14 +604,22 @@ class _ArrayBatchExecutor:
         any_work = rows.size > 0 or A.unsent.any()
         return blocks, any_work
 
+    def _take_touched(self) -> tuple[np.ndarray, np.ndarray]:
+        """This round's touched cells as ``(rows, cols)`` in row-major
+        order (host, then local id, then source); resets the list."""
+        if not self.touched:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        cells = sorted_unique(np.concatenate(self.touched))
+        self.touched = []
+        return cells // self.k, cells % self.k
+
     def _stage_eager(self):
         """Ablation path: reduce every updated candidate every round."""
         blocks: list = [None] * self.H
         A = self.arena
-        rows, cols = np.nonzero(A.dirty)
+        rows, cols = self._take_touched()
         if rows.size == 0:
             return blocks, False
-        cols = cols.astype(np.int64, copy=False)
         d_sel = A.cand_dist[rows, cols]
         sg_sel = A.cand_sigma[rows, cols]
         g_sel = A.gids[rows]
@@ -605,7 +630,6 @@ class _ArrayBatchExecutor:
                 blocks[h] = ColumnBlock.raw(
                     g_sel[a:b], (cols[a:b], d_sel[a:b], sg_sel[a:b])
                 )
-        A.dirty[:] = False
         return blocks, True
 
     def run_forward(self, runtime: "SuperstepRuntime | None" = None) -> int:
@@ -628,15 +652,13 @@ class _ArrayBatchExecutor:
 
             if rledger is not None:
                 M = self.masters
-                present = M.ent_d != INF
+                stage_fired = int(M.sent_prefix.sum())
                 rledger.note(
                     frontier=fired_total,
                     settled=fired_total,
-                    active_sources=int(
-                        np.count_nonzero((present & ~M.fired).any(axis=1))
-                    ),
-                    stage_entries=int(present.sum()),
-                    stage_fired=int(M.sent_prefix.sum()),
+                    active_sources=int(np.count_nonzero(M.unfired)),
+                    stage_entries=int(M.unfired.sum()) + stage_fired,
+                    stage_fired=stage_fired,
                     stage_depth=self.arena.unsent.count(),
                 )
 
@@ -655,15 +677,47 @@ class _ArrayBatchExecutor:
 
     # -- backward phase ----------------------------------------------------
 
+    def _backward_schedule(self):
+        """Algorithm 5's send schedule, sorted once per phase.
+
+        Every fired non-source cell ``(si, g)`` sends its dependency in
+        round ``R − τ + 1``.  Each cell becomes one int64 key ordered by
+        (send round, ``master_seq``, si), and the keys are sorted once.
+        Returns ``(R, bucket)``: ``bucket(rnd)`` is that round's
+        ``searchsorted`` slice, decoded to ``(si, g)`` in master
+        creation order, si ascending per master.
+        """
+        M = self.masters
+        k, n = self.k, self.n
+        R = int(M.tau[M.fired].max()) if M.fired.any() else 1
+        sched = M.fired.copy()
+        sched[np.arange(k), self.batch] = False
+        si, g = np.nonzero(sched)
+        keys = ((R - M.tau[si, g] + 1) * n + M.master_seq[g]) * k + si
+        keys.sort()
+        by_seq = np.asarray(M.master_order, dtype=np.int64)
+
+        def bucket(rnd: int) -> tuple[np.ndarray, np.ndarray]:
+            lo, hi = np.searchsorted(keys, (rnd * n * k, (rnd + 1) * n * k))
+            b = keys[lo:hi]
+            return b % k, by_seq[b // k % n]
+
+        return R, bucket
+
     def run_backward(self, runtime: "SuperstepRuntime | None" = None) -> int:
+        """Accumulation phase (Algorithm 5): dependency broadcasts in
+        reverse forward-timestamp order, then predecessor credits.
+
+        Per round, the firing set is a precomputed bucket
+        (:meth:`_backward_schedule`) and the credited cells come from
+        the touched list, so a round costs what it sends and credits,
+        not k × n.
+        """
         if runtime is None:
             runtime = SuperstepRuntime(run=self.run)
         gluon = self.gluon
         M = self.masters
-        R = int(M.tau[M.fired].max()) if M.fired.any() else 1
-        src_self = np.zeros((self.k, self.n), dtype=bool)
-        src_self[np.arange(self.k), self.batch] = True
-        sched = M.fired & ~src_self
+        R, bucket = self._backward_schedule()
         self.delta = np.zeros((self.k, self.n), dtype=np.float64)
         pending: list = [None] * self.H
         rledger = obs.current().rounds
@@ -691,12 +745,9 @@ class _ArrayBatchExecutor:
                 # order within).
                 np.add.at(self.delta, (si, gi), pd)
 
-            fr = sched & (M.tau == R - rnd + 1)
-            si_f, g_f = np.nonzero(fr)
+            si_f, g_f = bucket(rnd)
             blocks = [None] * self.H
             if g_f.size:
-                ordp = M.order_by_seq(g_f)
-                g_f, si_f = g_f[ordp], si_f[ordp]
                 sg = M.best_sigma[si_f, g_f]
                 coeff = (1.0 + self.delta[si_f, g_f]) / sg
                 hosts_f = self.pg.master_of[g_f]
@@ -717,10 +768,9 @@ class _ArrayBatchExecutor:
 
             pending = [None] * self.H
             A = self.arena
-            rows, cols = np.nonzero(A.delta_dirty)
+            rows, cols = self._take_touched()
             if rows.size == 0:
                 return False
-            cols = cols.astype(np.int64, copy=False)
             pd_sel = A.partial_delta[rows, cols]
             g_sel = A.gids[rows]
             bounds = np.searchsorted(rows, A.off)
@@ -731,7 +781,6 @@ class _ArrayBatchExecutor:
                         g_sel[a:b], (cols[a:b], pd_sel[a:b])
                     )
             A.partial_delta[rows, cols] = 0.0
-            A.delta_dirty[:] = False
             return True
 
         return runtime.run_loop("backward", step, min_rounds=R)
@@ -780,7 +829,7 @@ class _ArrayBatchExecutor:
         # np.add.at accumulates in event order = (host, item,
         # predecessor) order per cell (cells never span hosts).
         np.add.at(A.partial_delta, (wt, ws), vals)
-        A.delta_dirty[wt, ws] = True
+        self.touched.append(wt * self.k + ws)
         for h, c in enumerate(
             np.bincount(hs[item_of[sel]], minlength=self.H)
         ):

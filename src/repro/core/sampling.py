@@ -50,16 +50,23 @@ def resolve_sources(
 ) -> np.ndarray:
     """Explicit ``sources`` (``None``: every vertex) as a flat int64 array.
 
-    Raises :class:`ValueError` on an empty selection, and on ids outside
-    ``[0, n)`` naming them — a negative id would otherwise index the
-    per-vertex arrays from the end and silently run another vertex.
+    Raises :class:`ValueError` on an empty selection, on non-integer ids
+    (floats, booleans) and on ids outside ``[0, n)``, naming the values:
+    a cast would truncate ``1.7`` to vertex 1, a boolean mask would run
+    vertices 0 and 1, and a negative id would index the per-vertex
+    arrays from the end — each silently running another vertex.
     """
     if sources is None:
         src = np.arange(n, dtype=np.int64)
     else:
-        src = np.asarray(sources, dtype=np.int64).ravel()
+        src = np.asarray(sources).ravel()
     if src.size == 0:
         raise ValueError("need at least one source")
+    if src.dtype.kind not in "iu":
+        raise ValueError(
+            f"source ids must be integers, got {src.dtype}: {src.tolist()}"
+        )
+    src = src.astype(np.int64, copy=False)
     bad = np.unique(src[(src < 0) | (src >= n)])
     if bad.size:
         raise ValueError(f"source ids out of range [0, {n}): {bad.tolist()}")

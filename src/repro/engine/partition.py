@@ -299,4 +299,6 @@ def partition_graph(
     """Partition ``graph`` with a named policy (default: the paper's CVC)."""
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}; options: {sorted(_POLICIES)}")
+    if num_hosts < 1:
+        raise ValueError(f"need at least one host, got {num_hosts}")
     return _POLICIES[policy](graph, num_hosts, **kwargs)  # type: ignore[operator]

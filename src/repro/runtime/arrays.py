@@ -62,6 +62,19 @@ def expand_csr(
     return item_of, data[starts.repeat(counts) + pos]
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` for a flat integer array, by sort and
+    neighbour compare — several times faster than ``np.unique``'s hash
+    path on the small per-round key sets the sweeps deduplicate."""
+    out = np.sort(keys)
+    if out.size > 1:
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
+
+
 class ColumnBlock:
     """One host's exchange payload as a struct of aligned arrays.
 
@@ -192,6 +205,7 @@ class HostArena:
         self.fin_sigma = np.zeros(shape, dtype=np.float64)
         self.sent_d = np.full(shape, -1, dtype=np.int64)
         self.unsent = Bitset(total)
+        # SBBC's send masks; MRBC lists its touched cells instead.
         self.dirty = np.zeros(shape, dtype=bool)
         self.partial_delta = np.zeros(shape, dtype=np.float64)
         self.delta_dirty = np.zeros(shape, dtype=bool)
@@ -283,6 +297,19 @@ class MasterColumns:
     - ``master_seq[gid]`` / ``master_order`` — creation order; every
       order-sensitive sweep (fire emission, backward schedule, BC
       banking, snapshots) follows it.
+
+    Two summaries of :meth:`schedule_key` are maintained incrementally,
+    so a round's send check costs O(n + touched cells), not O(k × n):
+
+    - ``head[gid]`` — the master's minimum schedule key over unfired
+      entries (:data:`BIG` when none), i.e. the head of its sorted list
+      past the fired prefix.  An entry's distance d* never grows (a
+      host's contribution is only replaced by one no worse), so writers
+      lower ``head`` with ``np.minimum.at``; a fire recomputes the
+      firing master's head from its k cells;
+    - ``unfired[si]`` — present, unfired entries per source.
+
+    :meth:`from_rows` rebuilds both from the dense key.
     """
 
     def __init__(self, k: int, n: int, num_hosts: int) -> None:
@@ -298,6 +325,8 @@ class MasterColumns:
         self.contrib_sigma = np.zeros((num_hosts + 1, k, n), dtype=np.float64)
         self.master_seq = np.full(n, -1, dtype=np.int64)
         self.master_order: list[int] = []
+        self.head = np.full(n, BIG, dtype=np.int64)
+        self.unfired = np.zeros(k, dtype=np.int64)
         self._si_col = np.arange(k, dtype=np.int64)[:, None]
 
     # -- registration ------------------------------------------------------
@@ -323,6 +352,8 @@ class MasterColumns:
         self.register(gid)
         self.ent_d[si, gid] = 0
         self.best_sigma[si, gid] = 1.0
+        self.head[gid] = min(int(self.head[gid]), si)  # key 0 * (k + 1) + si
+        self.unfired[si] += 1
         self.contrib_d[self.H, si, gid] = 0
         self.contrib_sigma[self.H, si, gid] = 1.0
 
@@ -333,10 +364,20 @@ class MasterColumns:
 
         The per-master minimum of this key is the head of the master's
         sorted entry list past the fired prefix (send rounds are strictly
-        increasing along it, so fired entries are a prefix).
+        increasing along it, so fired entries are a prefix).  The round
+        loop reads the maintained ``head`` instead; this dense form
+        rebuilds it in :meth:`from_rows` and is the tests' reference.
         """
         act = (self.ent_d != INF) & ~self.fired
         return np.where(act, self.ent_d * (self.k + 1) + self._si_col, BIG)
+
+    def refresh_head(self, gids: np.ndarray) -> None:
+        """Recompute ``head`` for distinct ``gids`` from their k cells."""
+        sub = self.ent_d[:, gids]
+        act = (sub != INF) & ~self.fired[:, gids]
+        self.head[gids] = np.where(
+            act, sub * (self.k + 1) + self._si_col, BIG
+        ).min(axis=0)
 
     def order_by_seq(self, gids: np.ndarray) -> np.ndarray:
         """Permutation sorting ``gids`` into master creation order."""
@@ -396,3 +437,5 @@ class MasterColumns:
                     row = self.H if h < 0 else h
                     self.contrib_d[row, si, gid] = d
                     self.contrib_sigma[row, si, gid] = sg
+        self.head = self.schedule_key().min(axis=0)
+        self.unfired = ((self.ent_d != INF) & ~self.fired).sum(axis=1)

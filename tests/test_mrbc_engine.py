@@ -8,7 +8,7 @@ from repro.baselines.sbbc import sbbc_engine
 from repro.core.mrbc import mrbc_engine
 from repro.core.mrbc_congest import mrbc_congest
 from repro.engine.partition import partition_graph
-from repro.graph.generators import from_spec
+from repro.graph.generators import from_spec, path_graph
 from tests.conftest import MasterRig, some_sources
 
 
@@ -154,6 +154,38 @@ class TestInputValidation:
         g = from_spec("er:30:3")
         with pytest.raises(ValueError, match=r"out of range \[0, 30\): " + bad):
             engine(g, sources=sources, num_hosts=2)
+
+    @pytest.mark.parametrize(
+        "engine", [mrbc_engine, sbbc_engine], ids=["mrbc", "sbbc"]
+    )
+    @pytest.mark.parametrize(
+        "sources,shown",
+        [([1.7], r"float64: \[1\.7\]"), ([True, False], r"bool: \[True, False\]")],
+        ids=["float", "bool-mask"],
+    )
+    def test_non_integer_sources_rejected(self, engine, sources, shown):
+        # An int64 cast used to run vertex 1 for 1.7, and vertices 1 and
+        # 0 for the mask.
+        g = path_graph(4)
+        with pytest.raises(ValueError, match=r"must be integers, got " + shown):
+            engine(g, sources=sources, num_hosts=2)
+
+    @pytest.mark.parametrize(
+        "engine", [mrbc_engine, sbbc_engine], ids=["mrbc", "sbbc"]
+    )
+    def test_empty_sources_named(self, engine):
+        with pytest.raises(ValueError, match="need at least one source"):
+            engine(path_graph(4), sources=[], num_hosts=2)
+
+    @pytest.mark.parametrize(
+        "engine", [mrbc_engine, sbbc_engine], ids=["mrbc", "sbbc"]
+    )
+    @pytest.mark.parametrize("hosts", [0, -2])
+    def test_host_count_below_one_rejected(self, engine, hosts):
+        # The default CVC partitioner divided by zero (0) or took the
+        # square root of a negative count (-2).
+        with pytest.raises(ValueError, match="need at least one host"):
+            engine(path_graph(4), sources=[0], num_hosts=hosts)
 
     def test_foreign_partition_rejected(self, er_graph, road_graph):
         pg = partition_graph(road_graph, 2, "oec")

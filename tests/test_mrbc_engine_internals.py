@@ -1,16 +1,21 @@
 """White-box tests for the MRBC engine executor internals:
-local-list maintenance, delayed-sync staging, and backward scheduling."""
+local-list maintenance, delayed-sync staging, backward scheduling, and
+the incrementally maintained send schedule."""
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines.brandes import brandes_bc
 from repro.core.mrbc import INF, _ArrayBatchExecutor, mrbc_engine
 from repro.engine.partition import partition_graph
 from repro.engine.stats import EngineRun
 from repro.graph import generators as gen
 from repro.graph.builders import from_edges
-from repro.runtime.arrays import ColumnBlock
+from repro.obs.rounds import RoundLedger
+from repro.resilience.context import ResilienceContext
+from repro.resilience.plan import get_plan
+from repro.runtime.arrays import ColumnBlock, MasterColumns
 from repro.runtime.plane import GluonArrayPlane
 
 
@@ -150,3 +155,107 @@ class TestEagerVsDelayedEquivalence:
         assert np.allclose(a.sigma, b.sigma)
         # Same round schedule — the optimization changes traffic only.
         assert a.forward_rounds == b.forward_rounds
+
+
+def dense_schedule(M):
+    """The maintained schedule state, recounted from the dense columns."""
+    unfired = ((M.ent_d != INF) & ~M.fired).sum(axis=1)
+    return M.schedule_key().min(axis=0), unfired
+
+
+def assert_schedule_current(M):
+    head, unfired = dense_schedule(M)
+    assert np.array_equal(M.head, head)
+    assert np.array_equal(M.unfired, unfired)
+    rebuilt = MasterColumns(M.k, M.n, M.H)
+    rebuilt.from_rows(M.to_rows())
+    assert np.array_equal(rebuilt.head, head)
+    assert np.array_equal(rebuilt.unfired, unfired)
+
+
+def dense_bucket(ex, R, rnd):
+    """Round ``rnd``'s backward firing set as a k × n scan selects it."""
+    M = ex.masters
+    src_self = np.zeros((ex.k, ex.n), dtype=bool)
+    src_self[np.arange(ex.k), ex.batch] = True
+    si, g = np.nonzero(M.fired & ~src_self & (M.tau == R - rnd + 1))
+    order = M.order_by_seq(g)
+    return si[order], g[order]
+
+
+class TestMaintainedSchedule:
+    """``MasterColumns.head``/``unfired``, the backward buckets and the
+    ledger's stage fields equal their dense k × n definitions."""
+
+    def _run(self, monkeypatch, g, **kw):
+        dense_rows = []
+        scalar_merges = []
+        emit = _ArrayBatchExecutor._emit_fires
+        schedule = _ArrayBatchExecutor._backward_schedule
+        scalar = _ArrayBatchExecutor._apply_contribution_scalar
+
+        def checked_emit(self, rnd, rs):
+            assert_schedule_current(self.masters)
+            out = emit(self, rnd, rs)
+            M = self.masters
+            assert_schedule_current(M)
+            present = M.ent_d != INF
+            dense_rows.append((
+                int(np.count_nonzero((present & ~M.fired).any(axis=1))),
+                int(present.sum()),
+                int(M.fired.sum()),
+            ))
+            return out
+
+        def checked_schedule(self):
+            R, bucket = schedule(self)
+            for rnd in range(1, R + 2):
+                si, gids = bucket(rnd)
+                want_si, want_g = dense_bucket(self, R, rnd)
+                assert np.array_equal(si, want_si)
+                assert np.array_equal(gids, want_g)
+            return R, bucket
+
+        def counted_scalar(self, *args):
+            scalar_merges.append(args)
+            return scalar(self, *args)
+
+        monkeypatch.setattr(_ArrayBatchExecutor, "_emit_fires", checked_emit)
+        monkeypatch.setattr(
+            _ArrayBatchExecutor, "_backward_schedule", checked_schedule
+        )
+        monkeypatch.setattr(
+            _ArrayBatchExecutor, "_apply_contribution_scalar", counted_scalar
+        )
+        led = RoundLedger()
+        with obs.session(rounds=led):
+            res = mrbc_engine(g, **kw)
+        noted = [
+            (r.active_sources, r.stage_entries, r.stage_fired)
+            for u in led.units() if u.phase == "forward"
+            for r in u.rounds
+        ]
+        assert noted == dense_rows
+        return res, scalar_merges
+
+    @pytest.mark.parametrize("H", [1, 3])
+    @pytest.mark.parametrize("delayed", [True, False])
+    @pytest.mark.parametrize("spec", ["er:60:3", "webcrawl:120:80", "grid:8:8"])
+    def test_matches_dense_recount(self, monkeypatch, spec, delayed, H):
+        g = gen.from_spec(spec, seed=7)
+        res, _merges = self._run(
+            monkeypatch, g, num_sources=8, batch_size=4, num_hosts=H,
+            delayed_sync=delayed, seed=7,
+        )
+        ref = brandes_bc(g, sources=res.sources.tolist())
+        assert np.allclose(res.bc, ref)
+
+    def test_matches_dense_recount_under_duplicate_plan(self, monkeypatch):
+        # Guard off, so duplicated reduce items reach the master inbox.
+        g = gen.from_spec("er:60:3", seed=7)
+        ctx = ResilienceContext(plan=get_plan("duplicate"), mode="off")
+        _res, merges = self._run(
+            monkeypatch, g, sources=list(range(12)), batch_size=4,
+            num_hosts=4, resilience=ctx,
+        )
+        assert merges  # duplicate-keyed inbox items took the scalar path

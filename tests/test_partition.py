@@ -165,3 +165,12 @@ class TestPolicySpecifics:
             if missing.size == 0:
                 raise KeyError("all vertices present (trivially fine)")
             p.lids_of(missing[:1])
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("H", [0, -2])
+def test_host_count_below_one_rejected(graph, policy, H):
+    # CVC used to raise ZeroDivisionError (0) or a NaN conversion error
+    # (-2) from its grid factorization before any host check ran.
+    with pytest.raises(ValueError, match=f"need at least one host, got {H}"):
+        partition_graph(graph, H, policy)

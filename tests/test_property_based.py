@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.brandes import brandes_bc
+from repro.baselines.brandes import brandes_bc, brandes_sssp
 from repro.core.mrbc import mrbc_engine
 from repro.core.mrbc_congest import directed_apsp, mrbc_congest
 from repro.graph.digraph import DiGraph
@@ -61,12 +61,24 @@ class TestMRBCProperties:
         res = mrbc_congest(g, sources=srcs)
         assert np.allclose(res.bc, brandes_bc(g, sources=srcs), atol=1e-9)
 
-    @given(digraph_with_sources(), st.integers(1, 4), st.integers(1, 3))
+    @given(
+        digraph_with_sources(),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.booleans(),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_engine_bc_matches_brandes(self, gs, batch, hosts):
+    def test_engine_bc_matches_brandes(self, gs, batch, hosts, delayed_sync):
         g, srcs = gs
-        res = mrbc_engine(g, sources=srcs, batch_size=batch, num_hosts=hosts)
+        res = mrbc_engine(
+            g, sources=srcs, batch_size=batch, num_hosts=hosts,
+            delayed_sync=delayed_sync,
+        )
         assert np.allclose(res.bc, brandes_bc(g, sources=srcs), atol=1e-9)
+        for i, s in enumerate(srcs):
+            dist, sigma, _preds, _order = brandes_sssp(g, s)
+            assert np.array_equal(res.dist[i], dist)
+            assert np.array_equal(res.sigma[i], sigma)
 
     @given(digraph_with_sources())
     @settings(max_examples=40, deadline=None)
