@@ -159,11 +159,14 @@ class _ArrayBatchExecutor:
       recomputes the due prefix from ``cand_dist`` each round.
     - **Per-cell item order** — within one relax sweep, delivery items
       interact only through per-``(vertex, source)`` cells, and each
-      cell applies its events in item order (host ascending, then
-      position in the host's delivery block; an item's own finalize
-      event before its relaxations).  Cells with one event this round
-      take the array path; multi-event cells are replayed in that order
-      after an event sort on (cell, item, kind).
+      cell ends in the state its events give when applied in item order
+      (host ascending, then position in the host's delivery block; an
+      item's own finalize event before its relaxations), ``better`` and
+      ``equal`` ops included.  The sweep does not order the events to
+      get there: almost every cell is an order-free (min, +) reduction
+      whose σ fold runs in item order through ``np.add.at``, and only
+      cells with mixed distances or a finalize take a segmented scan
+      over their own events (:meth:`_relax_forward`).
     - **Master registration order** — fire emission, the backward
       schedule and BC banking visit masters in first-registration order
       (``MasterColumns.master_seq``).
@@ -324,14 +327,32 @@ class _ArrayBatchExecutor:
         """Relax local out-edges of this round's fired vertices — one
         arena-wide sweep over every host's delivery block.
 
-        Items take effect in item order (host ascending, then block
-        position).  Every intra-round read-after-write runs through
-        either the finalized row (unique writes — reconstructed exactly
-        from the post-state plus the per-cell fire position ``fpos``) or
-        a candidate cell.  Hosts never share cells (arena rows are
-        per-host), so concatenating the blocks in host order keeps each
-        host's item order.  Cells with one event this round take the
-        vectorized path; multi-event cells replay events in item order.
+        The result is the per-cell item-order rule of the class
+        docstring; the sweep computes it without ordering the events:
+
+        1. A relaxation worse than its cell's pre-sweep candidate is a
+           no-op in any order (a candidate only improves within a
+           sweep), so it is dropped.
+        2. A cell with no finalize this round whose remaining
+           relaxations share one distance ``D`` is an order-free
+           (min, +) reduction.  Its candidate becomes ``D``; if that
+           improves it, the first relaxation in item order is its one
+           ``better`` op and σ restarts from 0.0, and every other
+           relaxation is ``equal``.  σ then folds the relaxations in
+           item order with ``np.add.at``, which is the in-order float
+           sequence exactly: in order, the first relaxation sets σ to
+           its σ₁, and ``0.0 + σ₁ == σ₁``.
+        3. The rest — cells whose relaxations carry different
+           distances, and cells that also hold a finalize — go to
+           :meth:`_relax_ordered`, one segmented scan over just their
+           events.
+
+        The open test reads the finalized row, whose intra-round writes
+        are unique, so it is reconstructed exactly from the post-state
+        plus the per-cell fire position ``fpos``.  Hosts never share
+        cells (arena rows are per-host), so every event of a cell comes
+        from one host.  The ``fpos`` scratch marks cells while the sweep
+        runs (−2: resolved by the scan) and is reset to −1 at the end.
         """
         present = [
             (h, blk) for h, blk in enumerate(deliveries)
@@ -351,10 +372,17 @@ class _ArrayBatchExecutor:
         d = np.concatenate([blk.cols[1] for _h, blk in present]).astype(np.int64, copy=False)
         sg = np.concatenate([blk.cols[2] for _h, blk in present]).astype(np.float64, copy=False)
         m = int(gids.size)
+        items = np.arange(m, dtype=np.int64)
         lid = A.lut[hs, gids]
+        # Flat views of the C-contiguous (rows, k) columns: cell row·k + si.
+        cand_d = A.cand_dist.reshape(-1)
+        cand_sg = A.cand_sigma.reshape(-1)
+        sent = A.sent_d.reshape(-1)
+        fpos = A.fpos.reshape(-1)
+        fcell = lid * k + si
         A.fin_dist[lid, si] = d
         A.fin_sigma[lid, si] = sg
-        A.fpos[lid, si] = np.arange(m, dtype=np.int64)
+        fpos[fcell] = items
         for (h, blk), cnt in zip(present, lens.tolist()):
             oc = rs.compute[h]
             oc.vertex_ops += cnt
@@ -372,184 +400,168 @@ class _ArrayBatchExecutor:
             if e:
                 rs.compute[h].edge_ops += int(e)
         item_of, w = expand_csr(A.out_offsets, A.out_targets, lid)
-        if w.size:
-            sie = si[item_of]
-            nd = d[item_of] + 1
-            # Open ⟺ the finalized value does not already beat the
-            # relaxation *at the time the item runs*: final after this
-            # round, or finalized by a later item than this one.
-            # Called from the step loop right after broadcast delivery,
-            # so the finalized columns are post-synchronization here.
-            open_ = (A.fin_dist[w, sie] >= nd) | (A.fpos[w, sie] > item_of)  # repro-lint: disable=RL301
-            r_sel = np.nonzero(open_)[0]
-        else:
-            sie = nd = np.empty(0, dtype=np.int64)
-            r_sel = np.empty(0, dtype=np.int64)
+        cell = w * k + si[item_of]
+        nd = d[item_of] + 1
+        # Step 1, before the open test: it keeps fewer events.
+        cd0 = cand_d.take(cell)
+        r = np.nonzero(nd <= cd0)[0]
+        cell, nd, cd0, item_of = cell[r], nd[r], cd0[r], item_of[r]
+        fp = fpos.take(cell)
+        # Open ⟺ the finalized value does not already beat the
+        # relaxation *at the time the item runs*: final after this
+        # round, or finalized by a later item than this one.
+        # Called from the step loop right after broadcast delivery,
+        # so the finalized columns are post-synchronization here.
+        open_ = (A.fin_dist.reshape(-1).take(cell) >= nd) | (fp > item_of)  # repro-lint: disable=RL301
+        r = np.nonzero(open_)[0]
+        cell, nd, cd0, item_of, fp = cell[r], nd[r], cd0[r], item_of[r], fp[r]
         if delayed:
-            cells = np.concatenate([lid * k + si, w[r_sel] * k + sie[r_sel]])
-            js = np.concatenate([np.arange(m, dtype=np.int64), item_of[r_sel]])
-            kinds = np.concatenate(
-                [np.zeros(m, dtype=np.int8), np.ones(r_sel.size, dtype=np.int8)]
-            )
+            # A cell finalized this round resolves through the scan when
+            # relaxations reach it too, or when two items finalize it
+            # (duplicate deliveries under a fault plan).
+            twice = fpos[fcell] != items
+            ev2 = np.nonzero(fp < 0)[0]
+            ev3 = np.nonzero(fp >= 0)[0]
+            fpos[fcell[twice]] = -2
+            fpos[cell[ev3]] = -2
+            f_ord = fpos[fcell] == -2
         else:
-            cells = w[r_sel] * k + sie[r_sel] if r_sel.size else r_sel
-            js = item_of[r_sel] if r_sel.size else r_sel
-            kinds = np.ones(r_sel.size, dtype=np.int8)
-        n_better = np.zeros(self.H, dtype=np.int64)
-        n_equal = np.zeros(self.H, dtype=np.int64)
-        if cells.size:
-            # Stable sort on one composite key ≡ lexsort((kinds, js,
-            # cells)): js < m and kinds < 2, so the packing is injective.
-            order = np.argsort(
-                (cells * m + js) * 2 + kinds, kind="stable"
+            ev2 = np.arange(cell.size, dtype=np.int64)
+            ev3 = ev2[:0]
+            f_ord = np.zeros(m, dtype=bool)
+        # Step 2.  One minimum over (distance, position) per cell gives
+        # both its best distance D and the first relaxation reaching it.
+        cell2, nd2 = cell[ev2], nd[ev2]
+        pos = np.arange(cell2.size, dtype=np.int64)
+        e = max(int(cell2.size), 1)
+        fpos[cell2] = BIG
+        np.minimum.at(fpos, cell2, nd2 * e + pos)
+        key = fpos[cell2]
+        fpos[cell2[nd2 != key // e]] = -2  # mixed distances: the scan
+        o = fpos[cell2] != -2
+        r2 = ev2[o]
+        c, dd = cell[r2], nd[r2]
+        j = item_of[r2]
+        better = (key[o] % e == pos[o]) & (dd < cd0[r2])
+        bc = c[better]
+        cand_d[bc] = dd[better]
+        cand_sg[bc] = 0.0
+        np.add.at(cand_sg, c, sg[j])
+        ev_h = hs[j]
+        n_better = np.bincount(ev_h[better], minlength=self.H)
+        n_equal = np.bincount(ev_h[~better], minlength=self.H)
+        if delayed:
+            ce = c[~better]
+            ce = ce[sent[ce] == dd[~better]]
+            sent[ce] = -1
+            A.unsent.set_many(c // k)
+            # Finalize-only cells: the broadcast value supersedes this
+            # host's own candidate, which is recorded as already
+            # synchronized.  A worse local candidate can never become a
+            # valid min-distance contribution (every predecessor at d-1
+            # fired before v), so its σ is dropped.
+            fo = ~f_ord
+            fc, fd = fcell[fo], d[fo]
+            old = cand_d[fc]
+            has_old = old != INF
+            upd = has_old & (old > fd)
+            cand_d[fc[upd]] = fd[upd]
+            cand_sg[fc[upd]] = 0.0
+            A.unsent.set_many(lid[fo][has_old])
+            sent[fc] = fd
+        else:
+            self.touched.append(c)
+        # Step 3: the cells marked −2, with their finalizes.
+        rr = np.concatenate([ev3, ev2[~o]])
+        fi = f_ord.nonzero()[0]
+        if rr.size or fi.size:
+            self._relax_ordered(
+                np.concatenate([fcell[fi], cell[rr]]),
+                np.concatenate([fi, item_of[rr]]),
+                np.concatenate([d[fi], nd[rr]]),
+                fi.size, sg, hs, n_better, n_equal,
             )
-            cs = cells[order]
-            first = np.ones(cs.size, dtype=bool)
-            first[1:] = cs[1:] != cs[:-1]
-            run_len = np.bincount(np.cumsum(first) - 1)
-            single = np.repeat(run_len == 1, run_len)
-            ev = order[single]
-            if delayed:
-                fe = ev[ev < m]
-                re_ = ev[ev >= m] - m
-            else:
-                fe = np.empty(0, dtype=np.int64)
-                re_ = ev
-            if fe.size:
-                # F events: the broadcast value supersedes this host's
-                # own candidate, which is recorded as already
-                # synchronized.  A worse local candidate can never become
-                # a valid min-distance contribution (every predecessor at
-                # d-1 fired before v), so its σ is dropped.
-                fl, fs, fd = lid[fe], si[fe], d[fe]
-                old = A.cand_dist[fl, fs]
-                has_old = old != INF
-                upd = has_old & (old > fd)
-                A.cand_dist[fl[upd], fs[upd]] = fd[upd]
-                A.cand_sigma[fl[upd], fs[upd]] = 0.0
-                A.unsent.set_many(fl[has_old])
-                A.sent_d[fl, fs] = fd
-            if re_.size:
-                idx = r_sel[re_]
-                wt, ws, wnd = w[idx], sie[idx], nd[idx]
-                wsg = sg[item_of[idx]]
-                ev_h = hs[item_of[idx]]
-                cd = A.cand_dist[wt, ws]
-                bet = wnd < cd
-                eq = wnd == cd
-                if bet.any():
-                    bw, bs = wt[bet], ws[bet]
-                    A.cand_dist[bw, bs] = wnd[bet]
-                    A.cand_sigma[bw, bs] = wsg[bet]
-                    if delayed:
-                        A.unsent.set_many(bw)
-                    else:
-                        self.touched.append(bw * k + bs)
-                    n_better += np.bincount(ev_h[bet], minlength=self.H)
-                if eq.any():
-                    ew, es = wt[eq], ws[eq]
-                    A.cand_sigma[ew, es] += wsg[eq]
-                    if delayed:
-                        reset = A.sent_d[ew, es] == wnd[eq]
-                        A.sent_d[ew[reset], es[reset]] = -1
-                        A.unsent.set_many(ew)
-                    else:
-                        self.touched.append(ew * k + es)
-                    n_equal += np.bincount(ev_h[eq], minlength=self.H)
-            multi = order[~single]
-            if multi.size:
-                self._replay_multi(
-                    multi, m, lid, si, d, r_sel, w, sie, nd, sg, item_of,
-                    hs, n_better, n_equal,
-                )
         sfac = 2 if delayed else 1
         for h in range(self.H):
             ops = sfac * int(n_better[h]) + int(n_equal[h])
             if ops:
                 rs.compute[h].struct_ops += ops
-        A.fpos[lid, si] = -1
+        fpos[cell2] = -1
+        fpos[fcell] = -1
 
-    def _replay_multi(
-        self, multi, m, lid, si, d, r_sel, w, sie, nd, sg, item_of,
-        hs, n_better, n_equal,
+    def _relax_ordered(
+        self, cell, item, val, n_fin, sg, hs, n_better, n_equal
     ) -> None:
-        """Replay multi-event cells in item order (host, item, kind).
+        """Apply the events of the cells whose outcome depends on item
+        order, as one segmented scan.
 
-        Cell state is gathered into Python dicts once, replayed with
-        pure-Python arithmetic (float64 in, float64 out — bit-identical
-        to the in-array sequence), and scattered back; per-event NumPy
-        scalar indexing is the thing this avoids.
+        The first ``n_fin`` events are finalizes (``val`` = the fired
+        distance), the rest relaxations (``val`` = the relaxed distance,
+        never worse than the pre-sweep candidate).  Sorting on (cell,
+        item, kind) puts each cell's events in the order the per-cell
+        rule applies them; the candidate before each event is then a
+        running minimum that restarts at each cell.  A finalize lowers
+        the candidate only if one exists when it runs, i.e. before the
+        sweep or from an earlier relaxation.  σ restarts at a cell's
+        last ``better`` relaxation or lowering finalize and folds the
+        ``equal`` relaxations after it in order (``np.add.at``).
+        ``sent_d`` ends at the cell's last finalized distance (or its
+        pre-sweep value) unless a later ``equal`` relaxation at that
+        distance cleared it to −1.  ``sg`` and ``hs`` are per item.
         """
         A = self.arena
-        delayed = self.delayed_sync
         k = self.k
-        if delayed:
-            isf = multi < m
-            idx_f = np.where(isf, multi, 0)
-            idx_r = r_sel[np.where(isf, 0, multi - m)]
-            rows = np.where(isf, lid[idx_f], w[idx_r])
-            srcs = np.where(isf, si[idx_f], sie[idx_r])
-            vals = np.where(isf, d[idx_f], nd[idx_r])
-            sgv = np.where(isf, 0.0, sg[item_of[idx_r]])
-            hostv = hs[np.where(isf, idx_f, item_of[idx_r])]
-            kinds_l = isf.tolist()
+        m = sg.size
+        cand_d = A.cand_dist.reshape(-1)
+        cand_sg = A.cand_sigma.reshape(-1)
+        sent = A.sent_d.reshape(-1)
+        is_fin = np.zeros(cell.size, dtype=bool)
+        is_fin[:n_fin] = True
+        # Stable sort on one composite key ≡ lexsort((kind, item, cell)):
+        # item < m and kind < 2, so the packing is injective.
+        order = np.argsort((cell * m + item) * 2 + ~is_fin, kind="stable")
+        cell, item, val, is_fin = cell[order], item[order], val[order], is_fin[order]
+        is_rel = ~is_fin
+        n = cell.size
+        idx = np.arange(n, dtype=np.int64)
+        start = np.ones(n, dtype=bool)
+        np.not_equal(cell[1:], cell[:-1], out=start[1:])
+        seg = np.cumsum(start) - 1
+        first = start.nonzero()[0]
+        last = np.append(first[1:], n) - 1
+        ucell = cell[first]
+        cd0 = cand_d[ucell][seg]
+        rel_seen = np.cumsum(is_rel) - is_rel
+        rel_seen -= rel_seen[first][seg]
+        eff = np.where(is_fin & (cd0 == INF) & (rel_seen == 0), INF, val)
+        # Running minimum per cell: the offset drops by more than any
+        # distance from one cell to the next, so it restarts at each.
+        off = (seg[-1] - seg) * (np.int64(INF) + 1)
+        after = np.minimum(np.minimum.accumulate(eff + off) - off, cd0)
+        before = np.empty_like(after)
+        before[1:] = after[:-1]
+        before[first] = cd0[first]
+        better = is_rel & (val < before)
+        equal = is_rel & (val == before)
+        live = is_fin & (before != INF)
+        restart = better | (live & (before > val))
+        last_restart = np.maximum.accumulate(np.where(restart, idx, -1))[last]
+        fold = (better | equal) & (idx >= last_restart[seg])
+        cand_sg[ucell[last_restart >= first]] = 0.0
+        np.add.at(cand_sg, cell[fold], sg[item[fold]])
+        cand_d[ucell] = after[last]
+        ev_h = hs[item]
+        n_better += np.bincount(ev_h[better], minlength=self.H)
+        n_equal += np.bincount(ev_h[equal], minlength=self.H)
+        if self.delayed_sync:
+            last_fin = np.maximum.accumulate(np.where(is_fin, idx, -1))[last]
+            base = np.where(last_fin >= first, val[last_fin], sent[ucell])
+            cleared = np.zeros(ucell.size, dtype=bool)
+            cleared[seg[equal & (idx > last_fin[seg]) & (val == base[seg])]] = True
+            sent[ucell] = np.where(cleared, -1, base)
+            A.unsent.set_many(cell[better | equal | live] // k)
         else:
-            idx_r = r_sel[multi]
-            rows = w[idx_r]
-            srcs = sie[idx_r]
-            vals = nd[idx_r]
-            sgv = sg[item_of[idx_r]]
-            hostv = hs[item_of[idx_r]]
-            kinds_l = [False] * int(multi.size)
-        cells = rows * k + srcs
-        ucells, pos = np.unique(cells, return_inverse=True)
-        ua, us = ucells // k, ucells % k
-        cd_l = A.cand_dist[ua, us].tolist()
-        sg_l = A.cand_sigma[ua, us].tolist()
-        sd_l = A.sent_d[ua, us].tolist()
-        nb = [0] * self.H
-        ne = [0] * self.H
-        unsent_rows: list[int] = []
-        dirty_pos: list[int] = []
-        for isf_, p, a_, v_, s_, h_ in zip(
-            kinds_l, pos.tolist(), rows.tolist(), vals.tolist(),
-            sgv.tolist(), hostv.tolist(),
-        ):
-            cd_ = cd_l[p]
-            if isf_:
-                if cd_ != INF:
-                    if cd_ > v_:
-                        cd_l[p] = v_
-                        sg_l[p] = 0.0
-                    unsent_rows.append(a_)
-                sd_l[p] = v_
-            elif v_ < cd_:
-                cd_l[p] = v_
-                sg_l[p] = s_
-                if delayed:
-                    unsent_rows.append(a_)
-                else:
-                    dirty_pos.append(p)
-                nb[h_] += 1
-            elif v_ == cd_:
-                sg_l[p] = sg_l[p] + s_
-                if delayed:
-                    if sd_l[p] == v_:
-                        sd_l[p] = -1
-                    unsent_rows.append(a_)
-                else:
-                    dirty_pos.append(p)
-                ne[h_] += 1
-        A.cand_dist[ua, us] = cd_l
-        A.cand_sigma[ua, us] = sg_l
-        n_better += np.array(nb, dtype=np.int64)
-        n_equal += np.array(ne, dtype=np.int64)
-        if delayed:
-            A.sent_d[ua, us] = sd_l
-            if unsent_rows:
-                A.unsent.set_many(np.array(unsent_rows, dtype=np.int64))
-        elif dirty_pos:
-            self.touched.append(ucells[np.array(dirty_pos, dtype=np.int64)])
+            self.touched.append(cell[better | equal])
 
     def _stage_delayed(self, rnd: int, rs: RoundStats):
         """Vectorized §4.3 staging: derive each pending vertex's sorted

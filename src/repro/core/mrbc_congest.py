@@ -25,6 +25,7 @@ from repro.congest.messages import MessageStats
 from repro.congest.network import CongestNetwork
 from repro.core.accumulation import AccumulationProgram, schedule_summary
 from repro.core.apsp import APSPVertexState, DirectedAPSPProgram, flatmap_occupancy
+from repro.core.sampling import resolve_sources
 from repro.graph.digraph import DiGraph
 from repro.resilience.supervisor import run_congest_with_restart
 
@@ -84,15 +85,14 @@ class MRBCResult:
 
 
 def _resolve_sources(g: DiGraph, sources: np.ndarray | list[int] | None) -> np.ndarray:
+    """Explicit sources checked as :func:`repro.core.sampling.resolve_sources`
+    checks them (non-empty, integer ids in range); the CONGEST engines
+    also reject repeated ids."""
     if sources is None:
         return np.arange(g.num_vertices, dtype=np.int64)
-    arr = np.asarray(sources, dtype=np.int64).ravel()
-    if arr.size == 0:
-        raise ValueError("source set must be non-empty")
+    arr = resolve_sources(sources, g.num_vertices)
     if np.unique(arr).size != arr.size:
         raise ValueError("source set contains duplicates")
-    if arr.min() < 0 or arr.max() >= g.num_vertices:
-        raise ValueError("source id out of range")
     return arr
 
 
@@ -303,7 +303,7 @@ def mrbc_congest_batched(
     """
     from repro.core.batching import iter_batches
 
-    src = _resolve_sources(g, np.asarray(sources, dtype=np.int64))
+    src = _resolve_sources(g, sources)
     bc = np.zeros(g.num_vertices, dtype=np.float64)
     total_rounds = 0
     total_messages = 0

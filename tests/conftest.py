@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graph import generators as gen
 from repro.graph.digraph import DiGraph
+
+
+# ``--hypothesis-profile=ci`` runs a property test at a larger budget
+# (the CI step for the relax-rule differential test); without it,
+# hypothesis's default budget applies.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 def _build(edges: list[tuple[int, int]], n: int) -> DiGraph:

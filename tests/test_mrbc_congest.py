@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.brandes import brandes_bc, brandes_dependencies
-from repro.core.mrbc_congest import mrbc_congest
+from repro.core.mrbc_congest import directed_apsp, mrbc_congest, mrbc_congest_batched
 from repro.graph import generators as gen
 from tests.conftest import some_sources
 
@@ -123,11 +123,33 @@ class TestEdgeCases:
         # Middle vertices are on every 0→j path: BC matches Brandes.
         assert np.allclose(res.bc, brandes_bc(g, sources=[0]))
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda g, s: directed_apsp(g, sources=s),
+            lambda g, s: mrbc_congest(g, sources=s),
+            lambda g, s: mrbc_congest_batched(g, s, batch_size=2),
+        ],
+        ids=["directed_apsp", "mrbc_congest", "batched"],
+    )
+    @pytest.mark.parametrize(
+        "sources,shown",
+        [([1.7, 3], r"float64: \[1\.7, 3\.0\]"), ([True, False], r"bool: \[True, False\]")],
+        ids=["float", "bool-mask"],
+    )
+    def test_non_integer_sources_rejected(self, run, sources, shown):
+        # An int64 cast used to run vertices 1 and 3 for [1.7, 3], and
+        # vertices 1 and 0 for the mask.
+        with pytest.raises(ValueError, match=r"must be integers, got " + shown):
+            run(gen.from_spec("er:20:3"), sources)
+
+    def test_repeated_sources_rejected(self):
+        with pytest.raises(ValueError, match="duplicates"):
+            mrbc_congest(gen.from_spec("er:20:3"), sources=[3, 3])
+
 
 class TestBatchedCongest:
     def test_bc_matches_brandes(self, er_graph):
-        from repro.core.mrbc_congest import mrbc_congest_batched
-
         srcs = some_sources(er_graph, 9)
         res = mrbc_congest_batched(er_graph, srcs, batch_size=4)
         assert np.allclose(res.bc, brandes_bc(er_graph, sources=srcs))
@@ -137,7 +159,6 @@ class TestBatchedCongest:
     def test_rounds_per_source_beats_sbbc_congest(self, webcrawl_graph):
         """Table 1 purely inside the CONGEST model."""
         from repro.baselines.sbbc_congest import sbbc_congest
-        from repro.core.mrbc_congest import mrbc_congest_batched
 
         g = webcrawl_graph
         srcs = some_sources(g, 8)
@@ -146,8 +167,6 @@ class TestBatchedCongest:
         assert mr.rounds_per_source() < sb.total_rounds / len(srcs)
 
     def test_larger_batches_fewer_rounds(self, webcrawl_graph):
-        from repro.core.mrbc_congest import mrbc_congest_batched
-
         srcs = some_sources(webcrawl_graph, 8)
         small = mrbc_congest_batched(webcrawl_graph, srcs, batch_size=2)
         large = mrbc_congest_batched(webcrawl_graph, srcs, batch_size=8)

@@ -1,9 +1,11 @@
 """White-box tests for the MRBC engine executor internals:
-local-list maintenance, delayed-sync staging, backward scheduling, and
-the incrementally maintained send schedule."""
+local-list maintenance, the forward relax rules, delayed-sync staging,
+backward scheduling, and the incrementally maintained send schedule."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.baselines.brandes import brandes_bc
@@ -35,8 +37,16 @@ def row(ex, gid, h=0):
 
 def deliver(ex, rs, items, h=0):
     """One relax sweep over fired ``(gid, si, d, sigma)`` items on host h."""
+    deliver_all(ex, rs, {h: items})
+
+
+def deliver_all(ex, rs, by_host):
+    """One relax sweep over ``{host: [(gid, si, d, sigma), ...]}``."""
     blocks = [None] * ex.H
-    blocks[h] = ColumnBlock.from_tuples(items, (np.int64, np.int64, np.float64))
+    for h, items in by_host.items():
+        blocks[h] = ColumnBlock.from_tuples(
+            items, (np.int64, np.int64, np.float64)
+        )
     ex._relax_forward(blocks, rs)
 
 
@@ -80,6 +90,220 @@ class TestLocalListMaintenance:
         deliver(ex, rs, [(0, 0, 1, 2.0)])  # σ-only update
         assert local_list(ex, 1) == [(2, 0)]
         assert ex.arena.cand_sigma[row(ex, 1), 0] == 3.0
+
+
+def replay_relax(ex, by_host):
+    """Sequential reference for one relax sweep.
+
+    Applies every event one at a time in item order (host ascending,
+    then block position; an item's finalize before its relaxations) and
+    returns the post-state it implies, without touching ``ex``.  The
+    finalized columns are written for every item first: the open test
+    reads them post-synchronization, plus the position of the cell's
+    fire in this sweep.
+    """
+    A = ex.arena
+    delayed = ex.delayed_sync
+    cand_d = A.cand_dist.copy()
+    cand_s = A.cand_sigma.copy()
+    sent = A.sent_d.copy()
+    fin_d = A.fin_dist.copy()
+    fin_s = A.fin_sigma.copy()
+    unsent = set(A.unsent.indices().tolist())
+    touched = set()
+    ops = [[0, 0, 0] for _ in range(ex.H)]  # vertex, edge, struct
+    items = [
+        (h, int(A.lut[h, g]), si, d, sg)
+        for h in sorted(by_host)
+        for g, si, d, sg in by_host[h]
+    ]
+    fpos = {}
+    for j, (_h, a, si, d, sg) in enumerate(items):
+        fin_d[a, si] = d
+        fin_s[a, si] = sg
+        fpos[a, si] = j
+    for j, (h, a, si, d, sg) in enumerate(items):
+        ops[h][0] += 1
+        if delayed:
+            ops[h][2] += 1
+            # Finalize: the broadcast value supersedes the local
+            # candidate and is recorded as already sent.
+            if cand_d[a, si] != INF:
+                if cand_d[a, si] > d:
+                    cand_d[a, si] = d
+                    cand_s[a, si] = 0.0
+                unsent.add(a)
+            sent[a, si] = d
+        for w in A.out_targets[A.out_offsets[a]:A.out_offsets[a + 1]].tolist():
+            ops[h][1] += 1
+            nd = d + 1
+            if fin_d[w, si] < nd and fpos.get((w, si), -1) < j:
+                continue  # closed: already finalized at a better distance
+            if nd < cand_d[w, si]:  # better
+                cand_d[w, si] = nd
+                cand_s[w, si] = sg
+                ops[h][2] += 2 if delayed else 1
+            elif nd == cand_d[w, si]:  # equal
+                cand_s[w, si] = cand_s[w, si] + sg
+                if delayed and sent[w, si] == nd:
+                    sent[w, si] = -1
+                ops[h][2] += 1
+            else:
+                continue
+            if delayed:
+                unsent.add(w)
+            else:
+                touched.add(w * ex.k + si)
+    return {
+        "cand_dist": cand_d, "cand_sigma": cand_s, "sent_d": sent,
+        "fin_dist": fin_d, "fin_sigma": fin_s,
+        "unsent": sorted(unsent), "touched": touched, "ops": ops,
+    }
+
+
+def assert_sweep_matches_replay(ex, by_host):
+    """Run one relax sweep and compare it with :func:`replay_relax`:
+    every arena column bit for bit, ``unsent``, ``touched`` and the
+    per-host op counts exactly."""
+    want = replay_relax(ex, by_host)
+    rs = ex.run.new_round("forward")
+    deliver_all(ex, rs, by_host)
+    A = ex.arena
+    for name in ("cand_dist", "sent_d", "fin_dist"):
+        assert np.array_equal(getattr(A, name), want[name]), name
+    for name in ("cand_sigma", "fin_sigma"):
+        got = getattr(A, name).view(np.uint64)
+        assert np.array_equal(got, want[name].view(np.uint64)), name
+    assert (A.fpos == -1).all()
+    assert A.unsent.indices().tolist() == want["unsent"]
+    got_touched = np.concatenate(ex.touched).tolist() if ex.touched else []
+    assert set(got_touched) == want["touched"]
+    ops = [[c.vertex_ops, c.edge_ops, c.struct_ops] for c in rs.compute]
+    assert ops == want["ops"]
+
+
+#: Path counts: small ones, and ones past 2⁵³ where float64 addition
+#: stops being associative, so a wrong fold order changes the bits.
+SIGMAS = st.one_of(
+    st.integers(1, 6).map(float),
+    st.sampled_from([2.0**53, 2.0**53 + 2, 3.0 * 2**60, 1e17, 3e36]),
+)
+
+
+class TestRelaxRules:
+    """The forward relax sweep against a sequential per-event replay."""
+
+    # 0, 1 and 3 all relax into 2; 2 relaxes into 4.
+    EDGES = [(0, 2), (1, 2), (3, 2), (2, 4)]
+
+    def _executor(self, delayed, cand=None, sent=None):
+        ex = make_executor(from_edges(5, self.EDGES), [0], H=1, delayed=delayed)
+        for gid, (d, sigma) in (cand or {}).items():
+            set_candidate(ex, gid, 0, d, sigma)
+        for gid, sd in (sent or {}).items():
+            ex.arena.sent_d[row(ex, gid), 0] = sd
+        return ex
+
+    @pytest.mark.parametrize("delayed", [True, False])
+    def test_mixed_distances_into_one_cell(self, delayed):
+        ex = self._executor(delayed)
+        items = [(0, 0, 3, 2.0), (1, 0, 1, 3.0), (3, 0, 1, 5.0)]
+        assert_sweep_matches_replay(ex, {0: items})
+        r = row(ex, 2)
+        assert ex.arena.cand_dist[r, 0] == 2
+        assert ex.arena.cand_sigma[r, 0] == 8.0
+        # better (4 < INF), better (2 < 4), equal.
+        assert ex.run.rounds[-1].compute[0].struct_ops == (
+            3 + 2 * 2 + 1 if delayed else 2 + 1
+        )
+
+    def test_finalize_between_relaxations(self):
+        ex = self._executor(True)
+        # Item 0 relaxes 2 before item 1 finalizes it; item 2 relaxes
+        # it again at the finalized distance.
+        items = [(0, 0, 1, 1.0), (2, 0, 2, 7.0), (1, 0, 1, 2.0)]
+        assert_sweep_matches_replay(ex, {0: items})
+        r = row(ex, 2)
+        assert ex.arena.cand_dist[r, 0] == 2
+        assert ex.arena.cand_sigma[r, 0] == 3.0
+        assert ex.arena.sent_d[r, 0] == -1  # σ grew after the finalize
+
+    def test_finalize_after_equal_keeps_sent(self):
+        # An equal relaxation at the cell's own distance, then the
+        # cell's finalize: the finalize records the label as sent.
+        ex = self._executor(True, cand={2: (2, 5.0)})
+        assert_sweep_matches_replay(ex, {0: [(0, 0, 1, 1.0), (2, 0, 2, 7.0)]})
+        r = row(ex, 2)
+        assert ex.arena.sent_d[r, 0] == 2
+        assert ex.arena.cand_sigma[r, 0] == 6.0
+
+    def test_finalize_lowers_candidate_then_equal(self):
+        ex = self._executor(True, cand={2: (4, 9.0)})
+        items = [(2, 0, 2, 7.0), (0, 0, 1, 1.0), (1, 0, 3, 2.0)]
+        assert_sweep_matches_replay(ex, {0: items})
+        r = row(ex, 2)
+        assert ex.arena.cand_dist[r, 0] == 2
+        assert ex.arena.cand_sigma[r, 0] == 1.0
+
+    @pytest.mark.parametrize("delayed", [True, False])
+    def test_equal_at_sent_distance_clears_sent(self, delayed):
+        ex = self._executor(delayed, cand={2: (2, 5.0)}, sent={2: 2})
+        assert_sweep_matches_replay(ex, {0: [(0, 0, 1, 1.0), (1, 0, 1, 1.0)]})
+        r = row(ex, 2)
+        assert ex.arena.sent_d[r, 0] == (-1 if delayed else 2)
+        assert ex.arena.cand_sigma[r, 0] == 7.0
+
+    @pytest.mark.parametrize("delayed", [True, False])
+    def test_sigma_fold_in_item_order_past_2_53(self, delayed):
+        # (2⁵³ + 1) + 1 rounds to 2⁵³ twice; 1 + 1 + 2⁵³ would not.
+        ex = self._executor(delayed)
+        items = [(0, 0, 1, 2.0**53), (1, 0, 1, 1.0), (3, 0, 1, 1.0)]
+        assert_sweep_matches_replay(ex, {0: items})
+        assert ex.arena.cand_sigma[row(ex, 2), 0] == 2.0**53
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_matches_sequential_replay(self, data):
+        n = data.draw(st.integers(3, 7), label="n")
+        edges = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1]
+            ),
+            min_size=1, max_size=3 * n,
+        ), label="edges")
+        H = data.draw(st.integers(1, 2), label="H")
+        k = data.draw(st.integers(1, 3), label="k")
+        delayed = data.draw(st.booleans(), label="delayed")
+        ex = make_executor(from_edges(n, edges), list(range(k)), H=H, delayed=delayed)
+        A = ex.arena
+        cells = A.total * k
+        dists = st.sampled_from([INF, 1, 2, 3, 4, 5])
+        A.cand_dist[:] = np.reshape(data.draw(st.lists(
+            dists, min_size=cells, max_size=cells), label="cand_dist"), A.cand_dist.shape)
+        A.cand_sigma[:] = np.reshape(data.draw(st.lists(
+            SIGMAS, min_size=cells, max_size=cells), label="cand_sigma"), A.cand_sigma.shape)
+        # sent_d: unsent (-1), the candidate's own distance, or another.
+        sent_kind = np.reshape(data.draw(st.lists(
+            st.integers(0, 2), min_size=cells, max_size=cells), label="sent"), A.sent_d.shape)
+        A.sent_d[:] = np.where(
+            sent_kind == 0, -1,
+            np.where((sent_kind == 1) & (A.cand_dist != INF), A.cand_dist, 3),
+        )
+        A.unsent.set_many(np.array(data.draw(st.lists(
+            st.integers(0, A.total - 1), max_size=A.total), label="unsent"), dtype=np.int64))
+        # One or two sweeps: the second sees the first's finalized rows.
+        for _sweep in range(data.draw(st.integers(1, 2), label="sweeps")):
+            by_host = {}
+            for h in range(H):
+                proxies = np.nonzero(A.lut[h] >= 0)[0].tolist()
+                if not proxies:
+                    continue
+                by_host[h] = data.draw(st.lists(st.tuples(
+                    st.sampled_from(proxies), st.integers(0, k - 1),
+                    st.integers(0, 4), SIGMAS,
+                ), max_size=8), label=f"items[{h}]")
+            ex.touched = []
+            assert_sweep_matches_replay(ex, by_host)
 
 
 class TestDelayedStaging:
@@ -259,3 +483,15 @@ class TestMaintainedSchedule:
             num_hosts=4, resilience=ctx,
         )
         assert merges  # duplicate-keyed inbox items took the scalar path
+
+
+def test_guard_off_duplicate_plan_completes():
+    # Guard off: duplicated fires reach the relax sweep, so two items
+    # finalize the same cell.  Unguarded faults may give a wrong BC;
+    # the run must still complete.
+    ctx = ResilienceContext(mode="off", plan=get_plan("duplicate"))
+    res = mrbc_engine(
+        gen.from_spec("er:60:3"), sources=range(12), batch_size=4,
+        num_hosts=3, resilience=ctx,
+    )
+    assert np.isfinite(res.bc).all()
