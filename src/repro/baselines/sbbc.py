@@ -434,7 +434,8 @@ def sbbc_engine(
 
     Processes one source at a time (the algorithm's defining property);
     ``sources=None`` uses every vertex (exact BC), and ids outside
-    ``[0, n)`` raise :class:`ValueError`.
+    ``[0, n)``, repeated ids and a graph with no vertices raise
+    :class:`ValueError`.
 
     With a ``resilience`` context, channel faults from its plan are
     injected/guarded at the Gluon layer, and (in ``repair`` mode) an

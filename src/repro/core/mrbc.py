@@ -174,6 +174,11 @@ class _ArrayBatchExecutor:
     σ path counts are integers in float64, so reassociated sums are
     exact below 2⁵³; δ accumulations use ``np.add.at`` with events in
     (host, item, predecessor) order.
+
+    Per-cell state is addressed by one flat int64 id on the 1-D views of
+    the C-contiguous columns: ``row·k + si`` in the arena and ``si·n +
+    gid`` / ``(h·k + si)·n + gid`` in the master columns, so every
+    gather is a ``take`` and every fold a 1-D ``np.add.at``.
     """
 
     def __init__(
@@ -247,75 +252,85 @@ class _ArrayBatchExecutor:
         d = np.concatenate([blk.cols[2] for _h, blk in present]).astype(np.int64, copy=False)
         sg = np.concatenate([blk.cols[3] for _h, blk in present]).astype(np.float64, copy=False)
         M.register_new(gids)
-        key = np.sort((snd * self.k + si) * self.n + gids)
+        n = self.n
+        # Flat contribution ids (sender·k + si)·n + gid.
+        cid = (snd * self.k + si) * n + gids
+        key = np.sort(cid)
         if key.size > 1 and (key[1:] == key[:-1]).any():
             for j in range(gids.size):
                 self._apply_contribution_scalar(
                     int(snd[j]), int(si[j]), int(gids[j]), int(d[j]), float(sg[j])
                 )
         else:
-            old = M.contrib_d[snd, si, gids]
-            keep = old >= d
-            sw, iw, gw, dw, gg = snd[keep], si[keep], gids[keep], d[keep], sg[keep]
-            M.contrib_d[sw, iw, gw] = dw
-            M.contrib_sigma[sw, iw, gw] = gg
+            con_d = M.contrib_d.reshape(-1)
+            keep = con_d.take(cid) >= d
+            cw = cid[keep]
+            con_d[cw] = d[keep]
+            M.contrib_sigma.reshape(-1)[cw] = sg[keep]
         # Recompute (d*, σ*) for every delivered cell — idempotent for
         # the stale-filtered ones, so the full set is safe.
-        cells = sorted_unique(si * self.n + gids)
-        si_u = cells // self.n
-        g_u = cells % self.n
-        sub_d = M.contrib_d[:, si_u, g_u]
+        cells = sorted_unique(si * n + gids)
+        si_u, g_u = np.divmod(cells, n)
+        sub_d = np.take(M.contrib_d.reshape(self.H + 1, -1), cells, axis=1)
         d_star = sub_d.min(axis=0)
         sig_star = np.where(
-            sub_d == d_star, M.contrib_sigma[:, si_u, g_u], 0.0
+            sub_d == d_star,
+            np.take(M.contrib_sigma.reshape(self.H + 1, -1), cells, axis=1),
+            0.0,
         ).sum(axis=0)
-        fired = M.fired[si_u, g_u]
-        cur_d = M.ent_d[si_u, g_u]
+        ent_d = M.ent_d.reshape(-1)
+        best_sigma = M.best_sigma.reshape(-1)
+        fired = M.fired.reshape(-1).take(cells)
+        cur_d = ent_d.take(cells)
         assert not (fired & (d_star < cur_d)).any(), "replacing a fired entry"
         assert not (
-            fired & (d_star == cur_d) & (sig_star != M.best_sigma[si_u, g_u])
+            fired & (d_star == cur_d) & (sig_star != best_sigma.take(cells))
         ).any(), "sigma update after fire"
         M.unfired += np.bincount(si_u[cur_d == INF], minlength=self.k)
         live = ~fired
         np.minimum.at(
-            M.head, g_u[live], d_star[live] * (self.k + 1) + si_u[live]
+            M.head, g_u[live], (d_star[live] << M.si_bits) | si_u[live]
         )
-        M.ent_d[si_u, g_u] = d_star
-        M.best_sigma[si_u, g_u] = sig_star
+        ent_d[cells] = d_star
+        best_sigma[cells] = sig_star
 
     def _emit_fires(self, rnd: int, rs: RoundStats):
         """Evaluate the CONGEST send rule over all masters at once.
 
-        ``MasterColumns.head[gid]`` is the master's minimum
-        ``d*(k+1)+si`` over unfired present cells, kept current by the
-        inbox merge; the head fires when ``d + sent_prefix + 1 == rnd``
-        (send rounds strictly increase along the sorted list, so fired
-        entries form a stable prefix).  The check is one pass over the
-        n-vector of heads; a firing master's head is then recomputed
+        ``MasterColumns.head[gid]`` is the master's minimum schedule key
+        ``(d << si_bits) | si`` over unfired present cells, kept current
+        by the inbox merge; the head fires when ``d + sent_prefix + 1 ==
+        rnd`` (send rounds strictly increase along the sorted list, so
+        fired entries form a stable prefix).  The check is one pass over
+        the n-vector of heads; a firing master's head is then recomputed
         from its own k cells.  Returns (per-host fire blocks, fired
         count, any_pending).
         """
         M = self.masters
-        head = M.head
-        has = head < BIG
-        due = np.where(has, head // (self.k + 1), 0) + M.sent_prefix + 1
-        fire = has & (due == rnd)
-        missed = has & (due < rnd)
-        assert not missed.any(), "missed fire: an entry was due earlier"
-        g = np.nonzero(fire)[0]
+        b = M.si_bits
+        # The distance a head must have to fire this round.  An absent
+        # head (BIG) decodes to at least 2**(63 - b) - 1, past any round,
+        # so it neither fires nor counts as missed.
+        fire_d = (rnd - 1) - M.sent_prefix
+        head_d = M.head >> b
+        assert not (head_d < fire_d).any(), "missed fire: an entry was due earlier"
+        g = np.nonzero(head_d == fire_d)[0]
         blocks = [None] * self.H
         if g.size:
             g = g[M.order_by_seq(g)]
-            si_f = head[g] % (self.k + 1)
-            d_f = head[g] // (self.k + 1)
-            M.fired[si_f, g] = True
-            M.tau[si_f, g] = rnd
+            key = M.head.take(g)
+            si_f = key & ((1 << b) - 1)
+            d_f = key >> b
+            mc = si_f * self.n + g
+            M.fired.reshape(-1)[mc] = True
+            M.tau.reshape(-1)[mc] = rnd
             M.sent_prefix[g] += 1
             M.unfired -= np.bincount(si_f, minlength=self.k)
             M.refresh_head(g)
             hosts_f = self.pg.master_of[g]
             blocks = GluonArrayPlane._split_by_dest(
-                g, hosts_f, [si_f, d_f, M.best_sigma[si_f, g]], self.H
+                g, hosts_f, [si_f, d_f, M.best_sigma.reshape(-1).take(mc)],
+                self.H,
             )
             for h, c in enumerate(np.bincount(hosts_f, minlength=self.H)):
                 if c:
@@ -373,7 +388,7 @@ class _ArrayBatchExecutor:
         sg = np.concatenate([blk.cols[2] for _h, blk in present]).astype(np.float64, copy=False)
         m = int(gids.size)
         items = np.arange(m, dtype=np.int64)
-        lid = A.lut[hs, gids]
+        lid = A.lut.reshape(-1).take(hs * self.n + gids)
         # Flat views of the C-contiguous (rows, k) columns: cell row·k + si.
         cand_d = A.cand_dist.reshape(-1)
         cand_sg = A.cand_sigma.reshape(-1)
@@ -429,20 +444,21 @@ class _ArrayBatchExecutor:
             ev2 = np.arange(cell.size, dtype=np.int64)
             ev3 = ev2[:0]
             f_ord = np.zeros(m, dtype=bool)
-        # Step 2.  One minimum over (distance, position) per cell gives
-        # both its best distance D and the first relaxation reaching it.
+        # Step 2.  One minimum over (distance, position) keys per cell
+        # gives both its best distance D and the first relaxation
+        # reaching it: ``(nd << pb) | pos`` orders as the pairs do.
         cell2, nd2 = cell[ev2], nd[ev2]
-        pos = np.arange(cell2.size, dtype=np.int64)
-        e = max(int(cell2.size), 1)
+        pb = max(int(cell2.size) - 1, 0).bit_length()
+        key = (nd2 << pb) | np.arange(cell2.size, dtype=np.int64)
         fpos[cell2] = BIG
-        np.minimum.at(fpos, cell2, nd2 * e + pos)
-        key = fpos[cell2]
-        fpos[cell2[nd2 != key // e]] = -2  # mixed distances: the scan
-        o = fpos[cell2] != -2
+        np.minimum.at(fpos, cell2, key)
+        first = fpos.take(cell2)
+        fpos[cell2[nd2 != first >> pb]] = -2  # mixed distances: the scan
+        o = fpos.take(cell2) != -2
         r2 = ev2[o]
         c, dd = cell[r2], nd[r2]
         j = item_of[r2]
-        better = (key[o] % e == pos[o]) & (dd < cd0[r2])
+        better = (first[o] == key[o]) & (dd < cd0[r2])
         bc = c[better]
         cand_d[bc] = dd[better]
         cand_sg[bc] = 0.0
@@ -567,6 +583,14 @@ class _ArrayBatchExecutor:
         """Vectorized §4.3 staging: derive each pending vertex's sorted
         pair list from its candidate row, send the due prefix.
 
+        Each ``(row, si)`` entry becomes one int64 key
+        ``(d << (si_bits + 1)) | (si << 1) | unsent``, where ``unsent``
+        means ``sent_d`` differs from ``d``.  ``si`` is unique per row,
+        so the ``(d, si)`` part of the keys is unique and sorting a row
+        of keys in place orders it as the pair list, with absent (INF)
+        entries last; the low bit never reorders two keys.  Distance,
+        source and the bit decode by shifts.
+
         One arena-wide sweep: the unsent bitset's sorted index vector
         runs host ascending, then local id ascending, so slicing the
         row-major result at the arena's host offsets yields per-host
@@ -574,6 +598,7 @@ class _ArrayBatchExecutor:
         """
         blocks: list = [None] * self.H
         A = self.arena
+        k = self.k
         lids = A.unsent.indices()
         if lids.size == 0:
             return blocks, False
@@ -582,67 +607,76 @@ class _ArrayBatchExecutor:
         ):
             if c:
                 rs.compute[h].struct_ops += int(c)  # flat-map probes
-        pos = np.arange(self.k, dtype=np.int64)[None, :]
-        sub_d = A.cand_dist[lids]
-        present = sub_d != INF
-        key = np.where(present, sub_d * (self.k + 1) + pos, BIG)
-        order = np.argsort(key, axis=1)
-        rix = np.arange(lids.size, dtype=np.int64)[:, None]
-        d_sorted = sub_d[rix, order]
-        p_sorted = present[rix, order]
-        sent_sorted = A.sent_d[lids][rix, order]
+        b = self.masters.si_bits
+        sh = b + 1
+        pos = np.arange(k, dtype=np.int64)
+        d = A.cand_dist.take(lids, axis=0)
+        key = d << sh
+        key |= pos << 1
+        key |= A.sent_d.take(lids, axis=0) != d
+        key.sort(axis=1)
+        d = key >> sh
+        unsent = (key & 1).astype(bool)
         # Due rounds are strictly increasing along each sorted list,
         # so the due test per position selects exactly the prefix up to
-        # the first entry that is not due yet.
-        due = p_sorted & (d_sorted + pos <= rnd)
-        need = due & (sent_sorted != d_sorted)
-        rows, cols = np.nonzero(need)
-        if rows.size:
-            l_sel = lids[rows]  # non-decreasing: row-major over sorted lids
-            si_sel = order[rows, cols]
-            d_sel = d_sorted[rows, cols]
-            A.sent_d[l_sel, si_sel] = d_sel
-            sg_sel = A.cand_sigma[l_sel, si_sel]
-            g_sel = A.gids[l_sel]
-            bounds = np.searchsorted(l_sel, A.off)
-            for h in range(self.H):
-                a, b = int(bounds[h]), int(bounds[h + 1])
-                if b > a:
-                    blocks[h] = ColumnBlock.raw(
-                        g_sel[a:b], (si_sel[a:b], d_sel[a:b], sg_sel[a:b])
-                    )
-        remain = p_sorted & ~due & (sent_sorted != d_sorted)
+        # the first entry that is not due yet; INF never passes.
+        due = d <= rnd - pos
+        need = np.flatnonzero(due & unsent)  # positions row·k + pos
+        if need.size:
+            ks = key.reshape(-1).take(need)
+            # Non-decreasing: row-major over the sorted lids.
+            l_sel = lids.take(need // k)
+            si_sel = (ks >> 1) & ((1 << b) - 1)
+            d_sel = ks >> sh
+            cells = l_sel * k + si_sel
+            A.sent_d.reshape(-1)[cells] = d_sel
+            blocks = self._host_blocks(
+                l_sel, (si_sel, d_sel, A.cand_sigma.reshape(-1).take(cells))
+            )
+        remain = unsent & ~due & (d != INF)
         A.unsent.clear_many(lids[~remain.any(axis=1)])
-        any_work = rows.size > 0 or A.unsent.any()
+        any_work = need.size > 0 or A.unsent.any()
         return blocks, any_work
 
-    def _take_touched(self) -> tuple[np.ndarray, np.ndarray]:
-        """This round's touched cells as ``(rows, cols)`` in row-major
-        order (host, then local id, then source); resets the list."""
-        if not self.touched:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        cells = sorted_unique(np.concatenate(self.touched))
-        self.touched = []
-        return cells // self.k, cells % self.k
-
-    def _stage_eager(self):
-        """Ablation path: reduce every updated candidate every round."""
-        blocks: list = [None] * self.H
+    def _host_blocks(self, rows: np.ndarray, cols: tuple) -> list:
+        """Per-host exchange blocks of entries listed by non-decreasing
+        arena ``rows``: the gids of the rows plus the payload ``cols``,
+        sliced at the arena's host offsets."""
         A = self.arena
-        rows, cols = self._take_touched()
-        if rows.size == 0:
-            return blocks, False
-        d_sel = A.cand_dist[rows, cols]
-        sg_sel = A.cand_sigma[rows, cols]
-        g_sel = A.gids[rows]
+        blocks: list = [None] * self.H
+        g_sel = A.gids.take(rows)
         bounds = np.searchsorted(rows, A.off)
         for h in range(self.H):
             a, b = int(bounds[h]), int(bounds[h + 1])
             if b > a:
                 blocks[h] = ColumnBlock.raw(
-                    g_sel[a:b], (cols[a:b], d_sel[a:b], sg_sel[a:b])
+                    g_sel[a:b], tuple(c[a:b] for c in cols)
                 )
-        return blocks, True
+        return blocks
+
+    def _take_touched(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This round's touched cells ``row·k + si`` in row-major order
+        (host, then local id, then source), with their rows and source
+        slots; resets the list."""
+        if not self.touched:
+            none = np.empty(0, dtype=np.int64)
+            return none, none, none
+        cells = sorted_unique(np.concatenate(self.touched))
+        self.touched = []
+        rows, cols = np.divmod(cells, self.k)
+        return cells, rows, cols
+
+    def _stage_eager(self):
+        """Ablation path: reduce every updated candidate every round."""
+        A = self.arena
+        cells, rows, cols = self._take_touched()
+        if cells.size == 0:
+            return [None] * self.H, False
+        return self._host_blocks(rows, (
+            cols,
+            A.cand_dist.reshape(-1).take(cells),
+            A.cand_sigma.reshape(-1).take(cells),
+        )), True
 
     def run_forward(self, runtime: "SuperstepRuntime | None" = None) -> int:
         if runtime is None:
@@ -693,11 +727,12 @@ class _ArrayBatchExecutor:
         """Algorithm 5's send schedule, sorted once per phase.
 
         Every fired non-source cell ``(si, g)`` sends its dependency in
-        round ``R − τ + 1``.  Each cell becomes one int64 key ordered by
+        round ``R − τ + 1``.  Each cell becomes one int64 key
+        ``(round << rb) | (master_seq << si_bits) | si``, ordered by
         (send round, ``master_seq``, si), and the keys are sorted once.
         Returns ``(R, bucket)``: ``bucket(rnd)`` is that round's
-        ``searchsorted`` slice, decoded to ``(si, g)`` in master
-        creation order, si ascending per master.
+        ``searchsorted`` slice, decoded by shifts to ``(si, g)`` in
+        master creation order, si ascending per master.
         """
         M = self.masters
         k, n = self.k, self.n
@@ -705,14 +740,17 @@ class _ArrayBatchExecutor:
         sched = M.fired.copy()
         sched[np.arange(k), self.batch] = False
         si, g = np.nonzero(sched)
-        keys = ((R - M.tau[si, g] + 1) * n + M.master_seq[g]) * k + si
+        kb = M.si_bits
+        sb = (n - 1).bit_length()
+        rb = kb + sb
+        keys = ((R - M.tau[sched] + 1) << rb) | (M.master_seq[g] << kb) | si
         keys.sort()
         by_seq = np.asarray(M.master_order, dtype=np.int64)
 
         def bucket(rnd: int) -> tuple[np.ndarray, np.ndarray]:
-            lo, hi = np.searchsorted(keys, (rnd * n * k, (rnd + 1) * n * k))
+            lo, hi = np.searchsorted(keys, (rnd << rb, (rnd + 1) << rb))
             b = keys[lo:hi]
-            return b % k, by_seq[b // k % n]
+            return b & ((1 << kb) - 1), by_seq[(b >> kb) & ((1 << sb) - 1)]
 
         return R, bucket
 
@@ -731,6 +769,7 @@ class _ArrayBatchExecutor:
         M = self.masters
         R, bucket = self._backward_schedule()
         self.delta = np.zeros((self.k, self.n), dtype=np.float64)
+        delta = self.delta.reshape(-1)
         pending: list = [None] * self.H
         rledger = obs.current().rounds
 
@@ -755,16 +794,18 @@ class _ArrayBatchExecutor:
                 ).astype(np.float64, copy=False)
                 # Sequential accumulation in inbox order (host asc, item
                 # order within).
-                np.add.at(self.delta, (si, gi), pd)
+                np.add.at(delta, si * self.n + gi, pd)
 
             si_f, g_f = bucket(rnd)
             blocks = [None] * self.H
             if g_f.size:
-                sg = M.best_sigma[si_f, g_f]
-                coeff = (1.0 + self.delta[si_f, g_f]) / sg
+                mc = si_f * self.n + g_f
+                sg = M.best_sigma.reshape(-1).take(mc)
+                coeff = (1.0 + delta.take(mc)) / sg
                 hosts_f = self.pg.master_of[g_f]
                 blocks = GluonArrayPlane._split_by_dest(
-                    g_f, hosts_f, [si_f, coeff, M.ent_d[si_f, g_f]], self.H
+                    g_f, hosts_f, [si_f, coeff, M.ent_d.reshape(-1).take(mc)],
+                    self.H,
                 )
                 for h, c in enumerate(np.bincount(hosts_f, minlength=self.H)):
                     if c:
@@ -778,21 +819,12 @@ class _ArrayBatchExecutor:
             )
             self._credit_backward(deliveries, rs)
 
-            pending = [None] * self.H
-            A = self.arena
-            rows, cols = self._take_touched()
-            if rows.size == 0:
+            cells, rows, cols = self._take_touched()
+            if cells.size == 0:
                 return False
-            pd_sel = A.partial_delta[rows, cols]
-            g_sel = A.gids[rows]
-            bounds = np.searchsorted(rows, A.off)
-            for h in range(self.H):
-                a, b = int(bounds[h]), int(bounds[h + 1])
-                if b > a:
-                    pending[h] = ColumnBlock.raw(
-                        g_sel[a:b], (cols[a:b], pd_sel[a:b])
-                    )
-            A.partial_delta[rows, cols] = 0.0
+            pdelta = self.arena.partial_delta.reshape(-1)
+            pending = self._host_blocks(rows, (cols, pdelta.take(cells)))
+            pdelta[cells] = 0.0
             return True
 
         return runtime.run_loop("backward", step, min_rounds=R)
@@ -815,7 +847,7 @@ class _ArrayBatchExecutor:
             [blk.cols[1] for _h, blk in present]
         ).astype(np.float64, copy=False)
         d = np.concatenate([blk.cols[2] for _h, blk in present]).astype(np.int64, copy=False)
-        lid = A.lut[hs, gids]
+        lid = A.lut.reshape(-1).take(hs * self.n + gids)
         for (h, blk), cnt in zip(present, lens.tolist()):
             rs.compute[h].vertex_ops += cnt
         deg = A.in_offsets[lid + 1] - A.in_offsets[lid]
@@ -829,19 +861,19 @@ class _ArrayBatchExecutor:
         item_of, wp = expand_csr(A.in_offsets, A.in_sources, lid)
         if wp.size == 0:
             return
-        sie = si[item_of]
+        wc = wp * self.k + si[item_of]
         # Called from the step loop right after broadcast delivery, so
         # the finalized columns are post-synchronization here.
-        is_pred = A.fin_dist[wp, sie] == d[item_of] - 1  # repro-lint: disable=RL301
+        is_pred = A.fin_dist.reshape(-1).take(wc) == d[item_of] - 1  # repro-lint: disable=RL301
         sel = np.nonzero(is_pred)[0]
         if sel.size == 0:
             return
-        wt, ws = wp[sel], sie[sel]
-        vals = A.fin_sigma[wt, ws] * coeff[item_of[sel]]  # repro-lint: disable=RL301
+        wc = wc[sel]
+        vals = A.fin_sigma.reshape(-1).take(wc) * coeff[item_of[sel]]  # repro-lint: disable=RL301
         # np.add.at accumulates in event order = (host, item,
         # predecessor) order per cell (cells never span hosts).
-        np.add.at(A.partial_delta, (wt, ws), vals)
-        self.touched.append(wt * self.k + ws)
+        np.add.at(A.partial_delta.reshape(-1), wc, vals)
+        self.touched.append(wc)
         for h, c in enumerate(
             np.bincount(hs[item_of[sel]], minlength=self.H)
         ):
@@ -895,7 +927,8 @@ def mrbc_engine(
     sources:
         Explicit source vertices; if ``None``, ``num_sources`` are sampled
         (contiguous chunk, the paper's §5.1 protocol; default: all
-        vertices).  Ids outside ``[0, n)`` raise :class:`ValueError`.
+        vertices).  Ids outside ``[0, n)``, repeated ids and a graph with
+        no vertices raise :class:`ValueError`.
     batch_size:
         Sources per simultaneous batch (the paper's ``k``; Figure 1).
     num_hosts, policy, partition:

@@ -84,18 +84,6 @@ class MRBCResult:
         return self.stats_forward.messages + self.stats_backward.messages
 
 
-def _resolve_sources(g: DiGraph, sources: np.ndarray | list[int] | None) -> np.ndarray:
-    """Explicit sources checked as :func:`repro.core.sampling.resolve_sources`
-    checks them (non-empty, integer ids in range); the CONGEST engines
-    also reject repeated ids."""
-    if sources is None:
-        return np.arange(g.num_vertices, dtype=np.int64)
-    arr = resolve_sources(sources, g.num_vertices)
-    if np.unique(arr).size != arr.size:
-        raise ValueError("source set contains duplicates")
-    return arr
-
-
 def directed_apsp(
     g: DiGraph,
     sources: np.ndarray | list[int] | None = None,
@@ -120,7 +108,7 @@ def directed_apsp(
     replay is exact).
     """
     n = g.num_vertices
-    src = _resolve_sources(g, sources)
+    src = resolve_sources(sources, g.num_vertices)
     k_ssp = sources is not None
     source_set: frozenset[int] | None = frozenset(src.tolist()) if k_ssp else None
     if k_ssp and use_finalizer:
@@ -303,7 +291,7 @@ def mrbc_congest_batched(
     """
     from repro.core.batching import iter_batches
 
-    src = _resolve_sources(g, sources)
+    src = resolve_sources(sources, g.num_vertices)
     bc = np.zeros(g.num_vertices, dtype=np.float64)
     total_rounds = 0
     total_messages = 0

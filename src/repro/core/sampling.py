@@ -50,12 +50,16 @@ def resolve_sources(
 ) -> np.ndarray:
     """Explicit ``sources`` (``None``: every vertex) as a flat int64 array.
 
-    Raises :class:`ValueError` on an empty selection, on non-integer ids
-    (floats, booleans) and on ids outside ``[0, n)``, naming the values:
-    a cast would truncate ``1.7`` to vertex 1, a boolean mask would run
-    vertices 0 and 1, and a negative id would index the per-vertex
-    arrays from the end — each silently running another vertex.
+    Raises :class:`ValueError` on a graph with no vertices, on an empty
+    selection, on non-integer ids (floats, booleans), on ids outside
+    ``[0, n)`` and on repeated ids, naming the values: a cast would
+    truncate ``1.7`` to vertex 1, a boolean mask would run vertices 0
+    and 1, a negative id would index the per-vertex arrays from the end
+    — each silently running another vertex — and a repeated source
+    would be counted twice in BC.
     """
+    if n == 0:
+        raise ValueError("graph has no vertices")
     if sources is None:
         src = np.arange(n, dtype=np.int64)
     else:
@@ -70,4 +74,9 @@ def resolve_sources(
     bad = np.unique(src[(src < 0) | (src >= n)])
     if bad.size:
         raise ValueError(f"source ids out of range [0, {n}): {bad.tolist()}")
+    ids, counts = np.unique(src, return_counts=True)
+    if (counts > 1).any():
+        raise ValueError(
+            f"source set contains duplicates: {ids[counts > 1].tolist()}"
+        )
     return src

@@ -35,7 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: "Infinite" distance sentinel (identical to the engines' ``INF``).
 INF = np.iinfo(np.int32).max
 
-#: Sentinel larger than any schedule key ``d * (k + 1) + si``.
+#: Sentinel larger than any shift-packed key: a master's schedule key
+#: ``(d << si_bits) | si`` and the relax sweep's (distance, position) key.
 BIG = np.iinfo(np.int64).max
 
 
@@ -298,6 +299,11 @@ class MasterColumns:
       order-sensitive sweep (fire emission, backward schedule, BC
       banking, snapshots) follows it.
 
+    Per-cell state is addressed by one flat id on the 1-D views:
+    ``si·n + gid`` for the ``(k, n)`` columns and ``(h·k + si)·n + gid``
+    for the contributions, so a sweep gathers with ``take`` and scatters
+    or folds (``np.add.at``) along one axis.
+
     Two summaries of :meth:`schedule_key` are maintained incrementally,
     so a round's send check costs O(n + touched cells), not O(k × n):
 
@@ -327,6 +333,8 @@ class MasterColumns:
         self.master_order: list[int] = []
         self.head = np.full(n, BIG, dtype=np.int64)
         self.unfired = np.zeros(k, dtype=np.int64)
+        #: Low bits of a schedule key that hold the source index.
+        self.si_bits = (k - 1).bit_length()
         self._si_col = np.arange(k, dtype=np.int64)[:, None]
 
     # -- registration ------------------------------------------------------
@@ -352,7 +360,7 @@ class MasterColumns:
         self.register(gid)
         self.ent_d[si, gid] = 0
         self.best_sigma[si, gid] = 1.0
-        self.head[gid] = min(int(self.head[gid]), si)  # key 0 * (k + 1) + si
+        self.head[gid] = min(int(self.head[gid]), si)  # key (0 << si_bits) | si
         self.unfired[si] += 1
         self.contrib_d[self.H, si, gid] = 0
         self.contrib_sigma[self.H, si, gid] = 1.0
@@ -360,23 +368,26 @@ class MasterColumns:
     # -- derived views -----------------------------------------------------
 
     def schedule_key(self) -> np.ndarray:
-        """``d * (k + 1) + si`` over unfired entries, else :data:`BIG`.
+        """``(d << si_bits) | si`` over unfired entries, else :data:`BIG`.
 
-        The per-master minimum of this key is the head of the master's
-        sorted entry list past the fired prefix (send rounds are strictly
-        increasing along it, so fired entries are a prefix).  The round
-        loop reads the maintained ``head`` instead; this dense form
-        rebuilds it in :meth:`from_rows` and is the tests' reference.
+        ``si < 2**si_bits`` and ``d < INF``, so the key orders entries
+        exactly as the ``(d, si)`` pairs do, ``key >> si_bits`` decodes
+        the distance and ``key & (2**si_bits - 1)`` the source.  The
+        per-master minimum is the head of the master's sorted entry list
+        past the fired prefix (send rounds are strictly increasing along
+        it, so fired entries are a prefix).  The round loop reads the
+        maintained ``head`` instead; this dense form rebuilds it in
+        :meth:`from_rows` and is the tests' reference.
         """
         act = (self.ent_d != INF) & ~self.fired
-        return np.where(act, self.ent_d * (self.k + 1) + self._si_col, BIG)
+        return np.where(act, (self.ent_d << self.si_bits) | self._si_col, BIG)
 
     def refresh_head(self, gids: np.ndarray) -> None:
         """Recompute ``head`` for distinct ``gids`` from their k cells."""
-        sub = self.ent_d[:, gids]
-        act = (sub != INF) & ~self.fired[:, gids]
+        sub = np.take(self.ent_d, gids, axis=1)
+        act = (sub != INF) & ~np.take(self.fired, gids, axis=1)
         self.head[gids] = np.where(
-            act, sub * (self.k + 1) + self._si_col, BIG
+            act, (sub << self.si_bits) | self._si_col, BIG
         ).min(axis=0)
 
     def order_by_seq(self, gids: np.ndarray) -> np.ndarray:

@@ -11,8 +11,8 @@ from repro.graph.digraph import DiGraph
 
 
 # ``--hypothesis-profile=ci`` runs a property test at a larger budget
-# (the CI step for the relax-rule differential test); without it,
-# hypothesis's default budget applies.
+# (the CI step for the relax- and staging-rule differential tests);
+# without it, hypothesis's default budget applies.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

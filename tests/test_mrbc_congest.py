@@ -147,6 +147,14 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="duplicates"):
             mrbc_congest(gen.from_spec("er:20:3"), sources=[3, 3])
 
+    @pytest.mark.parametrize("sources", [None, [0]], ids=["all", "explicit"])
+    def test_empty_graph_named(self, sources):
+        from repro.graph.builders import from_edges
+
+        # sources=None used to run on no sources at all.
+        with pytest.raises(ValueError, match="graph has no vertices"):
+            mrbc_congest(from_edges(0, []), sources=sources)
+
 
 class TestBatchedCongest:
     def test_bc_matches_brandes(self, er_graph):

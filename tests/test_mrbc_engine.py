@@ -8,6 +8,7 @@ from repro.baselines.sbbc import sbbc_engine
 from repro.core.mrbc import mrbc_engine
 from repro.core.mrbc_congest import mrbc_congest
 from repro.engine.partition import partition_graph
+from repro.graph.builders import from_edges
 from repro.graph.generators import from_spec, path_graph
 from tests.conftest import MasterRig, some_sources
 
@@ -169,6 +170,26 @@ class TestInputValidation:
         g = path_graph(4)
         with pytest.raises(ValueError, match=r"must be integers, got " + shown):
             engine(g, sources=sources, num_hosts=2)
+
+    @pytest.mark.parametrize(
+        "engine", [mrbc_engine, sbbc_engine], ids=["mrbc", "sbbc"]
+    )
+    def test_repeated_sources_rejected(self, engine):
+        # Both engines used to count a repeated source twice in BC.
+        with pytest.raises(
+            ValueError, match=r"source set contains duplicates: \[0, 3\]"
+        ):
+            engine(from_spec("er:12:3"), sources=[3, 0, 1, 0, 3, 3], num_hosts=2)
+
+    @pytest.mark.parametrize(
+        "engine", [mrbc_engine, sbbc_engine], ids=["mrbc", "sbbc"]
+    )
+    @pytest.mark.parametrize("sources", [None, [0]], ids=["all", "explicit"])
+    def test_empty_graph_named(self, engine, sources):
+        # Used to read "need at least one source" (None) or "source ids
+        # out of range [0, 0): [0]".
+        with pytest.raises(ValueError, match="graph has no vertices"):
+            engine(from_edges(0, []), sources=sources, num_hosts=2)
 
     @pytest.mark.parametrize(
         "engine", [mrbc_engine, sbbc_engine], ids=["mrbc", "sbbc"]

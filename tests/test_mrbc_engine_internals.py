@@ -17,7 +17,7 @@ from repro.graph.builders import from_edges
 from repro.obs.rounds import RoundLedger
 from repro.resilience.context import ResilienceContext
 from repro.resilience.plan import get_plan
-from repro.runtime.arrays import ColumnBlock, MasterColumns
+from repro.runtime.arrays import BIG, ColumnBlock, MasterColumns
 from repro.runtime.plane import GluonArrayPlane
 
 
@@ -342,6 +342,111 @@ class TestDelayedStaging:
         assert stage(ex, 2, rs) == [(1, 0, 1, 2.0)]  # the refreshed σ
 
 
+def stage_reference(ex, rnd, rs):
+    """Delayed-sync staging as the argsort formulation: each pending
+    row's candidates ordered by ``argsort`` on ``d·(k+1) + si`` keys,
+    then gathered through the order.  Mutates ``ex`` as
+    ``_stage_delayed`` does and returns the same ``(blocks, any_work)``.
+    """
+    blocks = [None] * ex.H
+    A = ex.arena
+    lids = A.unsent.indices()
+    if lids.size == 0:
+        return blocks, False
+    for h, c in enumerate(np.bincount(A.host_of[lids], minlength=ex.H)):
+        if c:
+            rs.compute[h].struct_ops += int(c)
+    pos = np.arange(ex.k, dtype=np.int64)[None, :]
+    sub_d = A.cand_dist[lids]
+    present = sub_d != INF
+    key = np.where(present, sub_d * (ex.k + 1) + pos, BIG)
+    order = np.argsort(key, axis=1)
+    rix = np.arange(lids.size, dtype=np.int64)[:, None]
+    d_sorted = sub_d[rix, order]
+    p_sorted = present[rix, order]
+    sent_sorted = A.sent_d[lids][rix, order]
+    due = p_sorted & (d_sorted + pos <= rnd)
+    need = due & (sent_sorted != d_sorted)
+    rows, cols = np.nonzero(need)
+    if rows.size:
+        l_sel = lids[rows]
+        si_sel = order[rows, cols]
+        d_sel = d_sorted[rows, cols]
+        A.sent_d[l_sel, si_sel] = d_sel
+        sg_sel = A.cand_sigma[l_sel, si_sel]
+        g_sel = A.gids[l_sel]
+        bounds = np.searchsorted(l_sel, A.off)
+        for h in range(ex.H):
+            a, b = int(bounds[h]), int(bounds[h + 1])
+            if b > a:
+                blocks[h] = ColumnBlock.raw(
+                    g_sel[a:b], (si_sel[a:b], d_sel[a:b], sg_sel[a:b])
+                )
+    remain = p_sorted & ~due & (sent_sorted != d_sorted)
+    A.unsent.clear_many(lids[~remain.any(axis=1)])
+    return blocks, rows.size > 0 or A.unsent.any()
+
+
+class TestStageRules:
+    """Delayed-sync staging against :func:`stage_reference`."""
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_matches_argsort_reference(self, data):
+        k = data.draw(st.sampled_from([1, 2, 3, 5, 32, 33, 64]), label="k")
+        H = data.draw(st.integers(2, 3), label="H")
+        n = data.draw(st.integers(3, 9), label="n")
+        max_d = data.draw(st.integers(0, 12), label="max_d")
+        p_inf = data.draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]), label="p_inf")
+        p_pending = data.draw(st.sampled_from([0.2, 0.6, 1.0]), label="p_pending")
+        rng = np.random.default_rng(
+            data.draw(st.integers(0, 2**32 - 1), label="seed")
+        )
+        extra = rng.integers(0, n, size=(n, 2))
+        edges = [(i, i + 1) for i in range(n - 1)]
+        edges += [(int(u), int(w)) for u, w in extra if u != w]
+        g = from_edges(n, edges)
+        batch = [si % n for si in range(k)]
+        ex, ref = (make_executor(g, batch, H=H) for _ in range(2))
+        A = ex.arena
+        shape = A.cand_dist.shape
+        cand = rng.integers(0, max_d + 1, size=shape)
+        cand[rng.random(shape) < p_inf] = INF
+        # sent_d: never sent (-1), the candidate's own distance, or another.
+        other = rng.integers(0, max_d + 2, size=shape)
+        other[other == cand] += 1
+        kind = rng.integers(0, 3, size=shape)
+        sent = np.where(
+            kind == 0, -1, np.where((kind == 1) & (cand != INF), cand, other)
+        )
+        sigma = rng.integers(1, 2**20, size=shape).astype(np.float64)
+        pending = np.nonzero(rng.random(A.total) < p_pending)[0]
+        for e in (ex, ref):
+            e.arena.cand_dist[:] = cand
+            e.arena.cand_sigma[:] = sigma
+            e.arena.sent_d[:] = sent
+            e.arena.unsent.set_many(pending)
+        rnds = sorted(data.draw(st.lists(
+            st.integers(0, max_d + k + 1), min_size=1, max_size=3,
+        ), label="rounds"))
+        for rnd in rnds:
+            rs, rs_ref = ex.run.new_round("forward"), ref.run.new_round("forward")
+            got, work = ex._stage_delayed(rnd, rs)
+            want, want_work = stage_reference(ref, rnd, rs_ref)
+            # Per host: (gid, si, d, σ) in staging order.
+            assert [b if b is None else b.to_tuples() for b in got] == [
+                b if b is None else b.to_tuples() for b in want
+            ]
+            assert work == want_work
+            assert np.array_equal(A.sent_d, ref.arena.sent_d)
+            assert np.array_equal(
+                A.unsent.indices(), ref.arena.unsent.indices()
+            )
+            assert [c.struct_ops for c in rs.compute] == [
+                c.struct_ops for c in rs_ref.compute
+            ]
+
+
 class TestBackwardScheduling:
     def test_fire_rounds_reverse_taus(self):
         g = from_edges(3, [(0, 1), (1, 2)])
@@ -387,6 +492,22 @@ def dense_schedule(M):
     return M.schedule_key().min(axis=0), unfired
 
 
+def assert_heads_decode(M):
+    """Each maintained ``head`` decodes by shifts to the lexicographic
+    minimum ``(d, si)`` over its master's unfired present cells."""
+    mask = (1 << M.si_bits) - 1
+    for gid in range(M.n):
+        live = [
+            (int(M.ent_d[si, gid]), si) for si in range(M.k)
+            if M.ent_d[si, gid] != INF and not M.fired[si, gid]
+        ]
+        key = int(M.head[gid])
+        if live:
+            assert (key >> M.si_bits, key & mask) == min(live), gid
+        else:
+            assert key == BIG, gid
+
+
 def assert_schedule_current(M):
     head, unfired = dense_schedule(M)
     assert np.array_equal(M.head, head)
@@ -411,7 +532,7 @@ class TestMaintainedSchedule:
     """``MasterColumns.head``/``unfired``, the backward buckets and the
     ledger's stage fields equal their dense k × n definitions."""
 
-    def _run(self, monkeypatch, g, **kw):
+    def _run(self, monkeypatch, g, check=None, **kw):
         dense_rows = []
         scalar_merges = []
         emit = _ArrayBatchExecutor._emit_fires
@@ -423,6 +544,8 @@ class TestMaintainedSchedule:
             out = emit(self, rnd, rs)
             M = self.masters
             assert_schedule_current(M)
+            if check is not None:
+                check(M)
             present = M.ent_d != INF
             dense_rows.append((
                 int(np.count_nonzero((present & ~M.fired).any(axis=1))),
@@ -473,6 +596,24 @@ class TestMaintainedSchedule:
         )
         ref = brandes_bc(g, sources=res.sources.tolist())
         assert np.allclose(res.bc, ref)
+
+    @pytest.mark.parametrize("k", [1, 3, 33])
+    def test_heads_decode_at_batch_width(self, monkeypatch, k):
+        g = gen.from_spec("er:60:3", seed=7)
+        decoded = []
+
+        def check(M):
+            assert M.k == k
+            assert_heads_decode(M)
+            decoded.append(M.k)
+
+        # Two full batches of width k (one at k = 33).
+        res, _merges = self._run(
+            monkeypatch, g, sources=list(range(min(2 * k, 33))),
+            batch_size=k, num_hosts=3, check=check,
+        )
+        assert decoded
+        assert np.allclose(res.bc, brandes_bc(g, sources=res.sources.tolist()))
 
     def test_matches_dense_recount_under_duplicate_plan(self, monkeypatch):
         # Guard off, so duplicated reduce items reach the master inbox.
