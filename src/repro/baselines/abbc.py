@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.sampling import resolve_sources
 from repro.graph.digraph import DiGraph
 
 
@@ -160,12 +161,7 @@ def abbc(
     result carries ``out_of_memory=True`` with NaN BC values.
     """
     n = g.num_vertices
-    if sources is None:
-        src = np.arange(n, dtype=np.int64)
-    else:
-        src = np.asarray(sources, dtype=np.int64).ravel()
-    if src.size == 0:
-        raise ValueError("need at least one source")
+    src = resolve_sources(sources, n)
 
     # Working set: CSR (2 words/edge, both directions) + per-vertex labels
     # (dist, σ, δ, worklist flags ≈ 6 words) + predecessor lists (≈ 1 word

@@ -19,6 +19,7 @@ from collections import deque
 
 import numpy as np
 
+from repro.core.sampling import resolve_sources
 from repro.graph.digraph import DiGraph
 
 
@@ -78,15 +79,8 @@ def brandes_bc(
     approximation (sum of betweenness scores over the sampled sources).
     """
     n = g.num_vertices
-    if sources is None:
-        iter_sources = range(n)
-    else:
-        iter_sources = [int(s) for s in np.asarray(sources).ravel()]
-        for s in iter_sources:
-            if not 0 <= s < n:
-                raise ValueError(f"source {s} out of range")
     bc = np.zeros(n, dtype=np.float64)
-    for s in iter_sources:
+    for s in resolve_sources(sources, n).tolist():
         _, _, delta = brandes_dependencies(g, s)
         delta[s] = 0.0  # Alg. 2 line 5: the source itself gets no credit
         bc += delta

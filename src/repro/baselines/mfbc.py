@@ -27,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.batching import iter_batches
+from repro.core.sampling import resolve_sources
 from repro.engine.stats import EngineRun
 from repro.graph.builders import to_scipy_csr
 from repro.graph.digraph import DiGraph
@@ -112,12 +113,7 @@ def mfbc(
 ) -> MFBCResult:
     """Run Maximal-Frontier BC over batches of ``batch_size`` sources."""
     n = g.num_vertices
-    if sources is None:
-        src = np.arange(n, dtype=np.int64)
-    else:
-        src = np.asarray(sources, dtype=np.int64).ravel()
-    if src.size == 0:
-        raise ValueError("need at least one source")
+    src = resolve_sources(sources, n)
 
     A = to_scipy_csr(g)  # A[u, v] = 1 for edge (u, v)
     AT = A.T.tocsr()

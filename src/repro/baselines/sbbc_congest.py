@@ -19,6 +19,7 @@ import numpy as np
 from repro.congest.messages import MessageStats
 from repro.congest.network import CongestNetwork
 from repro.congest.program import VertexContext, VertexProgram
+from repro.core.sampling import resolve_sources
 from repro.graph.digraph import DiGraph
 from repro.resilience.supervisor import run_congest_with_restart
 
@@ -127,12 +128,7 @@ def sbbc_congest(
     scratch on an injected crash, bounded by the context's budgets.
     """
     n = g.num_vertices
-    if sources is None:
-        src = np.arange(n, dtype=np.int64)
-    else:
-        src = np.asarray(sources, dtype=np.int64).ravel()
-    if src.size == 0:
-        raise ValueError("need at least one source")
+    src = resolve_sources(sources, n)
 
     bc = np.zeros(n)
     dist_all = np.full((src.size, n), -1, dtype=np.int64)

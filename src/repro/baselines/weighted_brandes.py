@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from repro.core.sampling import resolve_sources
 from repro.graph.weighted import WeightedDiGraph
 
 #: Relative tolerance for "same shortest-path length" comparisons.
@@ -89,15 +90,8 @@ def weighted_brandes_bc(
 ) -> np.ndarray:
     """Weighted betweenness centrality (exact, or sampled-source sum)."""
     n = wg.num_vertices
-    if sources is None:
-        iter_sources = range(n)
-    else:
-        iter_sources = [int(s) for s in np.asarray(sources).ravel()]
-        for s in iter_sources:
-            if not 0 <= s < n:
-                raise ValueError(f"source {s} out of range")
     bc = np.zeros(n)
-    for s in iter_sources:
+    for s in resolve_sources(sources, n).tolist():
         _, _, delta = weighted_brandes_dependencies(wg, s)
         delta[s] = 0.0
         bc += delta

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.baselines.mfbc import _account_iteration
 from repro.core.batching import iter_batches
+from repro.core.sampling import resolve_sources
 from repro.engine.stats import EngineRun
 from repro.graph.weighted import WeightedDiGraph
 
@@ -54,12 +55,7 @@ def weighted_mfbc(
     """Weighted MFBC over batches of sources (Bellman-Ford forward phase)."""
     g = wg.graph
     n = g.num_vertices
-    if sources is None:
-        src = np.arange(n, dtype=np.int64)
-    else:
-        src = np.asarray(sources, dtype=np.int64).ravel()
-    if src.size == 0:
-        raise ValueError("need at least one source")
+    src = resolve_sources(sources, n)
 
     esrc, edst = g.edges()
     ew = wg.weights

@@ -92,7 +92,9 @@ class MasterVertexState:
     - ``contrib[si][h]`` — host ``h``'s best local candidate
       ``(d_h, σ_h)``, where ``σ_h`` sums shortest paths arriving over
       ``h``-local in-edges (a batch source's own seed ``(0, 1)`` is the
-      virtual host −1);
+      virtual host −1, listed first, then hosts ascending).  Only hosts
+      holding a proxy of the vertex report it; the columnar store keeps
+      each report on that proxy's arena row;
     - ``best[si]`` — the authoritative ``(d*, σ*)`` with
       ``d* = min_h d_h`` and ``σ* = Σ_{h: d_h = d*} σ_h`` — every in-edge
       of the vertex lives on exactly one host, so this counts each
@@ -176,9 +178,10 @@ class _ArrayBatchExecutor:
     (host, item, predecessor) order.
 
     Per-cell state is addressed by one flat int64 id on the 1-D views of
-    the C-contiguous columns: ``row·k + si`` in the arena and ``si·n +
-    gid`` / ``(h·k + si)·n + gid`` in the master columns, so every
-    gather is a ``take`` and every fold a 1-D ``np.add.at``.
+    the C-contiguous columns: ``row·k + si`` in the arena and in the
+    master's report store, and ``si·n + gid`` in the master's ``(k, n)``
+    columns, so every gather is a ``take`` and every fold a 1-D
+    ``np.add.at``.
     """
 
     def __init__(
@@ -202,7 +205,7 @@ class _ArrayBatchExecutor:
             resilience.new_invariant_checker() if resilience is not None else None
         )
         self.arena = HostArena(pg.parts, self.k, self.n)
-        self.masters = MasterColumns(self.k, self.n, self.H)
+        self.masters = MasterColumns(self.k, self.n, self.arena)
         for si, s in enumerate(batch):
             self.masters.initialize_source(si, int(s))
         self.delta: np.ndarray | None = None
@@ -217,24 +220,28 @@ class _ArrayBatchExecutor:
     ) -> None:
         """Sequential merge for duplicate-keyed inbox items (fault plans)."""
         M = self.masters
-        if int(M.contrib_d[host, si, gid]) < d:
+        row = int(M.report_rows([host], [gid])[0])
+        if int(M.rep_d[row, si]) < d:
             return  # stale (the host already reported something better)
-        M.contrib_d[host, si, gid] = d
-        M.contrib_sigma[host, si, gid] = sigma
+        M.rep_d[row, si] = d
+        M.rep_sigma[row, si] = sigma
 
     def _apply_forward_inbox(self, inbox, rs: RoundStats) -> None:
         """Merge reduced candidates into the master columns.
 
-        A host's report replaces its previous one for the same cell
-        unless it is worse (stale).  The per-host stale filter touches
-        only each sender's own past contribution, and (sender, si, gid)
-        keys are unique within a fault-free round, so a scatter write is
-        exact; the authoritative ``(d*, σ*)`` (see
-        :class:`MasterVertexState`) is then recomputed once per touched
-        cell, a pure function of the contribution table.  A fired entry
-        must never change: all of its σ contributions arrive before its
-        fire round.  An unfired entry's d* never grows either (each
-        host's contribution only improves), so lowering the master's
+        A host's report is stored on its own proxy row of the vertex
+        (``MasterColumns.rep_d``/``rep_sigma``) and replaces its
+        previous one for the same cell unless it is worse (stale).  The
+        per-host stale filter touches only each sender's own past
+        report, and (sender, si, gid) keys are unique within a
+        fault-free round, so a scatter write is exact; the
+        authoritative ``(d*, σ*)`` (see :class:`MasterVertexState`) is
+        then recomputed once per touched cell, a pure function of the
+        stored reports (``MasterColumns.authoritative``).  A report from
+        a host without a proxy of the vertex raises ``ValueError``.  A
+        fired entry must never change: all of its σ contributions arrive
+        before its fire round.  An unfired entry's d* never grows either
+        (each host's report only improves), so lowering the master's
         schedule ``head`` to each written key keeps it exact.
         """
         M = self.masters
@@ -251,33 +258,27 @@ class _ArrayBatchExecutor:
         si = np.concatenate([blk.cols[1] for _h, blk in present]).astype(np.int64, copy=False)
         d = np.concatenate([blk.cols[2] for _h, blk in present]).astype(np.int64, copy=False)
         sg = np.concatenate([blk.cols[3] for _h, blk in present]).astype(np.float64, copy=False)
+        # Flat report ids row·k + si, row = the sender's proxy of gid.
+        rc = M.report_rows(snd, gids) * self.k + si
         M.register_new(gids)
         n = self.n
-        # Flat contribution ids (sender·k + si)·n + gid.
-        cid = (snd * self.k + si) * n + gids
-        key = np.sort(cid)
+        key = np.sort(rc)
         if key.size > 1 and (key[1:] == key[:-1]).any():
             for j in range(gids.size):
                 self._apply_contribution_scalar(
                     int(snd[j]), int(si[j]), int(gids[j]), int(d[j]), float(sg[j])
                 )
         else:
-            con_d = M.contrib_d.reshape(-1)
-            keep = con_d.take(cid) >= d
-            cw = cid[keep]
-            con_d[cw] = d[keep]
-            M.contrib_sigma.reshape(-1)[cw] = sg[keep]
+            rep_d = M.rep_d.reshape(-1)
+            keep = rep_d.take(rc) >= d
+            cw = rc[keep]
+            rep_d[cw] = d[keep]
+            M.rep_sigma.reshape(-1)[cw] = sg[keep]
         # Recompute (d*, σ*) for every delivered cell — idempotent for
         # the stale-filtered ones, so the full set is safe.
         cells = sorted_unique(si * n + gids)
         si_u, g_u = np.divmod(cells, n)
-        sub_d = np.take(M.contrib_d.reshape(self.H + 1, -1), cells, axis=1)
-        d_star = sub_d.min(axis=0)
-        sig_star = np.where(
-            sub_d == d_star,
-            np.take(M.contrib_sigma.reshape(self.H + 1, -1), cells, axis=1),
-            0.0,
-        ).sum(axis=0)
+        d_star, sig_star = M.authoritative(si_u, g_u)
         ent_d = M.ent_d.reshape(-1)
         best_sigma = M.best_sigma.reshape(-1)
         fired = M.fired.reshape(-1).take(cells)
@@ -887,6 +888,29 @@ class _ArrayBatchExecutor:
         counts = (self.masters.ent_d != INF).sum(axis=0)
         return [int(counts[g]) for g in self.masters.master_order]
 
+    def bank(
+        self, base: int, bc: np.ndarray, dist: np.ndarray, sigma: np.ndarray
+    ) -> None:
+        """Add this batch's results to the run's outputs in place.
+
+        Source ``si`` is row ``base + si`` of ``dist``/``sigma``.  BC is
+        banked only when the backward phase ran: each vertex
+        accumulates the batch sources si-ascending, excluding the source
+        itself; non-masters add exact zeros.  (si, gid) cells are
+        disjoint across batches.
+        """
+        M = self.masters
+        si_p, g_p = np.nonzero(M.ent_d != INF)
+        dist[base + si_p, g_p] = M.ent_d[si_p, g_p]
+        sigma[base + si_p, g_p] = M.best_sigma[si_p, g_p]
+        if self.delta is None:
+            return
+        registered = M.master_seq >= 0
+        for si in range(self.k):
+            row = np.where(registered, self.delta[si], 0.0)
+            row[int(self.batch[si])] = 0.0
+            bc += row
+
     def to_rows(self) -> RowStateView:
         """Row-shaped view for checkpoints and invariant checks."""
         return RowStateView(
@@ -897,7 +921,7 @@ class _ArrayBatchExecutor:
 
     def from_rows(self, masters, arrays) -> None:
         """Load a row-shaped forward snapshot (checkpoint restore)."""
-        self.masters = MasterColumns(self.k, self.n, self.H)
+        self.masters = MasterColumns(self.k, self.n, self.arena)
         self.masters.from_rows(masters)
         self.delta = None
         for h in range(self.H):
@@ -986,9 +1010,13 @@ def mrbc_engine(
 
     tele = obs.current()
 
-    def execute_batch(
-        b0: int, batch: np.ndarray
-    ) -> tuple[_ArrayBatchExecutor, int, int]:
+    def execute_batch(b0: int, batch: np.ndarray) -> tuple[int, int]:
+        """Run and bank one batch; returns its (forward, backward) rounds.
+
+        The batch is banked before this returns, so once the frame is
+        gone nothing references its executor: the next batch never
+        allocates beside it.
+        """
         # -- forward, restarting the batch from scratch on a host crash
         # (redone rounds are charged to the recovery phase by the runtime).
         def fwd_prepare(attempt: int) -> _ArrayBatchExecutor:
@@ -1033,7 +1061,8 @@ def mrbc_engine(
                     return ex.run_backward(runtime)
 
             ex, b = runtime.run_with_restart(bwd_prepare, bwd_body)
-        return ex, f, b
+        ex.bank(b0 * batch_size, bc, dist, sigma)
+        return f, b
 
     for b0, batch in enumerate(iter_batches(src, batch_size)):
         # Each batch is a failure domain: under a degrading policy an
@@ -1047,23 +1076,9 @@ def mrbc_engine(
                 continue
         else:
             out = execute_batch(b0, batch)
-        ex, f, b = out
+        f, b = out
         fwd_rounds += f
         bwd_rounds += b
-        base = b0 * batch_size
-        # Bank the batch: (si, gid) cells are disjoint, and each vertex's
-        # BC accumulates its batch sources si-ascending, excluding the
-        # source itself; non-masters add exact zeros.
-        M = ex.masters
-        si_p, g_p = np.nonzero(M.ent_d != INF)
-        dist[base + si_p, g_p] = M.ent_d[si_p, g_p]
-        sigma[base + si_p, g_p] = M.best_sigma[si_p, g_p]
-        if not forward_only:
-            registered = M.master_seq >= 0
-            for si in range(batch.size):
-                row = np.where(registered, ex.delta[si], 0.0)
-                row[int(batch[si])] = 0.0
-                bc += row
 
     partial = (
         supervisor.partial_result(bc, requested_sources=int(src.size), num_vertices=n)

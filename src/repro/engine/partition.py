@@ -162,13 +162,17 @@ class PartitionedGraph:
         )
 
         # Shared-proxy counts per host pair (for metadata bitmap sizing):
-        # shared[a, b] = number of vertices with proxies on both a and b.
-        shared = np.zeros((num_hosts, num_hosts), dtype=np.int64)
-        off, hosts_flat = self._proxy_hosts_off, self._proxy_hosts
-        for v in range(n):
-            hs = hosts_flat[off[v] : off[v + 1]]
-            if hs.size > 1:
-                shared[np.ix_(hs, hs)] += 1
+        # shared[a, b] = number of vertices with proxies on both a and b,
+        # i.e. MᵀM over the n × H proxy-membership matrix M.  One float64
+        # product runs on BLAS and is exact, as every count is at most
+        # n < 2**53; an int64 product has no BLAS path and is ~80x slower
+        # at 64 hosts.
+        member = np.zeros((n, num_hosts), dtype=np.float64)
+        member[
+            np.repeat(np.arange(n), np.diff(self._proxy_hosts_off)),
+            self._proxy_hosts,
+        ] = 1.0
+        shared = (member.T @ member).astype(np.int64)
         np.fill_diagonal(shared, 0)
         self.shared_proxies = shared
 

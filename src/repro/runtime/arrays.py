@@ -152,7 +152,9 @@ class HostArena:
     ``lut[h, gid]`` resolves a delivery to its arena row in one gather
     (−1 = no proxy).  It costs ``H × n`` int64s — fine at the repo's
     simulation scales; a per-host ``searchsorted`` would trade memory
-    for an extra log factor if that ever pinches.
+    for an extra log factor if that ever pinches.  The reverse map is a
+    CSR: ``proxy_rows[proxy_off[gid]:proxy_off[gid + 1]]`` are the
+    vertex's arena rows, host ascending.
     """
 
     __slots__ = (
@@ -161,6 +163,8 @@ class HostArena:
         "gids",
         "host_of",
         "lut",
+        "proxy_off",
+        "proxy_rows",
         "out_offsets",
         "out_targets",
         "in_offsets",
@@ -193,6 +197,11 @@ class HostArena:
             self.lut[h, p.gids] = np.arange(
                 self.off[h], self.off[h + 1], dtype=np.int64
             )
+        # Rows run host-major, so a stable sort by gid keeps each
+        # vertex's rows host ascending.
+        self.proxy_rows = np.argsort(self.gids, kind="stable")
+        self.proxy_off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.gids, minlength=n), out=self.proxy_off[1:])
         self.out_offsets, self.out_targets = self._stitch_csr(
             parts, [p.out_offsets for p in parts], [p.out_targets for p in parts]
         )
@@ -291,18 +300,24 @@ class MasterColumns:
     - ``ent_d[si, gid]`` — the schedule-entry distance (INF = absent);
       the fired/unfired split is ``fired`` plus ``sent_prefix``;
     - ``best_sigma[si, gid]`` — the authoritative σ*;
-    - ``contrib_d/contrib_sigma[h, si, gid]`` — per-host contributions,
-      with the virtual source host (−1 in the row form) stored at row
-      ``H``;
+    - ``rep_d/rep_sigma[row, si]`` — host ``h``'s latest report
+      ``(d_h, σ_h)`` for cell ``(si, gid)``, kept on the reporting
+      proxy's arena row ``row = lut[h, gid]`` (INF = none).  A host
+      reports only vertices it holds a proxy of, so one ``(rows × k)``
+      pair holds every report — the master keeps, per vertex, what its
+      proxies sent, not an ``(H+1) × k × n`` table;
+    - ``seed_gid/seed_d/seed_sigma[si]`` — the virtual source host's
+      report (−1 in the row form): the seed ``(0, 1)`` at batch source
+      ``seed_gid[si]``;
     - ``tau[si, gid]`` — fire timestamps for the backward schedule;
     - ``master_seq[gid]`` / ``master_order`` — creation order; every
       order-sensitive sweep (fire emission, backward schedule, BC
       banking, snapshots) follows it.
 
     Per-cell state is addressed by one flat id on the 1-D views:
-    ``si·n + gid`` for the ``(k, n)`` columns and ``(h·k + si)·n + gid``
-    for the contributions, so a sweep gathers with ``take`` and scatters
-    or folds (``np.add.at``) along one axis.
+    ``si·n + gid`` for the ``(k, n)`` columns and ``row·k + si`` for the
+    reports (the arena's cell id), so a sweep gathers with ``take`` and
+    scatters or folds (``np.add.at``) along one axis.
 
     Two summaries of :meth:`schedule_key` are maintained incrementally,
     so a round's send check costs O(n + touched cells), not O(k × n):
@@ -310,7 +325,7 @@ class MasterColumns:
     - ``head[gid]`` — the master's minimum schedule key over unfired
       entries (:data:`BIG` when none), i.e. the head of its sorted list
       past the fired prefix.  An entry's distance d* never grows (a
-      host's contribution is only replaced by one no worse), so writers
+      host's report is only replaced by one no worse), so writers
       lower ``head`` with ``np.minimum.at``; a fire recomputes the
       firing master's head from its k cells;
     - ``unfired[si]`` — present, unfired entries per source.
@@ -318,17 +333,20 @@ class MasterColumns:
     :meth:`from_rows` rebuilds both from the dense key.
     """
 
-    def __init__(self, k: int, n: int, num_hosts: int) -> None:
+    def __init__(self, k: int, n: int, arena: HostArena) -> None:
         self.k = k
         self.n = n
-        self.H = num_hosts
+        self.arena = arena
         self.ent_d = np.full((k, n), INF, dtype=np.int64)
         self.best_sigma = np.zeros((k, n), dtype=np.float64)
         self.fired = np.zeros((k, n), dtype=bool)
         self.tau = np.zeros((k, n), dtype=np.int64)
         self.sent_prefix = np.zeros(n, dtype=np.int64)
-        self.contrib_d = np.full((num_hosts + 1, k, n), INF, dtype=np.int64)
-        self.contrib_sigma = np.zeros((num_hosts + 1, k, n), dtype=np.float64)
+        self.rep_d = np.full((arena.total, k), INF, dtype=np.int64)
+        self.rep_sigma = np.zeros((arena.total, k), dtype=np.float64)
+        self.seed_gid = np.full(k, -1, dtype=np.int64)
+        self.seed_d = np.full(k, INF, dtype=np.int64)
+        self.seed_sigma = np.zeros(k, dtype=np.float64)
         self.master_seq = np.full(n, -1, dtype=np.int64)
         self.master_order: list[int] = []
         self.head = np.full(n, BIG, dtype=np.int64)
@@ -356,14 +374,68 @@ class MasterColumns:
             self.register(g)
 
     def initialize_source(self, si: int, gid: int) -> None:
-        """Seed ``(0, si)`` at a batch source (virtual host −1 = row H)."""
+        """Seed ``(0, si)`` at a batch source (the virtual host −1)."""
         self.register(gid)
         self.ent_d[si, gid] = 0
         self.best_sigma[si, gid] = 1.0
         self.head[gid] = min(int(self.head[gid]), si)  # key (0 << si_bits) | si
         self.unfired[si] += 1
-        self.contrib_d[self.H, si, gid] = 0
-        self.contrib_sigma[self.H, si, gid] = 1.0
+        self.seed_gid[si] = gid
+        self.seed_d[si] = 0
+        self.seed_sigma[si] = 1.0
+
+    # -- host reports ------------------------------------------------------
+
+    def report_rows(self, hosts: np.ndarray, gids: np.ndarray) -> np.ndarray:
+        """Arena rows holding the reports of ``hosts`` for ``gids``.
+
+        Raises :class:`ValueError` when a host holds no proxy of the
+        vertex: it cannot have a report to store, and ``lut``'s −1
+        would otherwise index another row.
+        """
+        hosts = np.asarray(hosts, dtype=np.int64)
+        gids = np.asarray(gids, dtype=np.int64)
+        rows = self.arena.lut.reshape(-1).take(hosts * self.n + gids)
+        bad = rows < 0
+        if bad.any():
+            pairs = sorted(set(zip(hosts[bad].tolist(), gids[bad].tolist())))
+            raise ValueError(
+                f"report from a host without a proxy of the vertex "
+                f"(host, gid): {pairs}"
+            )
+        return rows
+
+    def authoritative(
+        self, si: np.ndarray, gids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(d*, σ*)`` of the cells ``(si, gids)`` from their reports.
+
+        Per cell, the reports are read over the vertex's proxy rows
+        (host ascending) and then the seed.  d* is their minimum (a
+        segmented minimum; every vertex has at least its master's
+        row).  σ* sums the σ of the reports at d* in that order —
+        hosts ascending, virtual source last — folded by ``np.add.at``,
+        so it is the sequential float sum.  A per-segment ``sum`` or
+        ``np.add.reduceat`` would not be: they may reassociate, which
+        changes σ past 2⁵³.
+        """
+        A = self.arena
+        counts = A.proxy_off[gids + 1] - A.proxy_off[gids]
+        item_of, rows = expand_csr(A.proxy_off, A.proxy_rows, gids)
+        rc = rows * self.k + si[item_of]
+        rd = self.rep_d.reshape(-1).take(rc)
+        d_star = np.minimum.reduceat(rd, counts.cumsum() - counts)
+        seeded = np.nonzero(self.seed_gid.take(si) == gids)[0]
+        s_d = self.seed_d.take(si[seeded])
+        d_star[seeded] = np.minimum(d_star[seeded], s_d)
+        match = np.nonzero(rd == d_star[item_of])[0]
+        sig_star = np.zeros(gids.size, dtype=np.float64)
+        np.add.at(
+            sig_star, item_of[match], self.rep_sigma.reshape(-1).take(rc[match])
+        )
+        at_seed = seeded[s_d == d_star[seeded]]
+        sig_star[at_seed] += self.seed_sigma.take(si[at_seed])
+        return d_star, sig_star
 
     # -- derived views -----------------------------------------------------
 
@@ -400,6 +472,7 @@ class MasterColumns:
         """The row form ``{gid: MasterVertexState}`` in creation order."""
         from repro.core.mrbc import MasterVertexState
 
+        A = self.arena
         out: dict[int, MasterVertexState] = {}
         for gid in self.master_order:
             ms = MasterVertexState()
@@ -415,17 +488,15 @@ class MasterColumns:
             for si in fired_sis[np.argsort(self.tau[fired_sis, gid], kind="stable")]:
                 ms.tau[int(si)] = int(self.tau[si, gid])
             ms.sent_prefix = int(self.sent_prefix[gid])
+            rows = A.proxy_rows[A.proxy_off[gid] : A.proxy_off[gid + 1]]
             for si in sis:
                 per: dict[int, tuple[int, float]] = {}
-                if self.contrib_d[self.H, si, gid] != INF:
-                    per[-1] = (
-                        int(self.contrib_d[self.H, si, gid]),
-                        float(self.contrib_sigma[self.H, si, gid]),
-                    )
-                for h in np.nonzero(self.contrib_d[: self.H, si, gid] != INF)[0]:
-                    per[int(h)] = (
-                        int(self.contrib_d[h, si, gid]),
-                        float(self.contrib_sigma[h, si, gid]),
+                if self.seed_gid[si] == gid and self.seed_d[si] != INF:
+                    per[-1] = (int(self.seed_d[si]), float(self.seed_sigma[si]))
+                for r in rows[self.rep_d[rows, si] != INF]:
+                    per[int(A.host_of[r])] = (
+                        int(self.rep_d[r, si]),
+                        float(self.rep_sigma[r, si]),
                     )
                 if per:
                     ms.contrib[int(si)] = per
@@ -433,7 +504,11 @@ class MasterColumns:
         return out
 
     def from_rows(self, masters: "dict[int, MasterVertexState]") -> None:
-        """Load row-form master state (checkpoint restore path)."""
+        """Load row-form master state (checkpoint restore path).
+
+        Raises :class:`ValueError` on a contribution from a host that
+        holds no proxy of the vertex (see :meth:`report_rows`).
+        """
         for gid, ms in masters.items():
             self.register(int(gid))
             self.sent_prefix[gid] = ms.sent_prefix
@@ -445,8 +520,13 @@ class MasterColumns:
                 self.tau[si, gid] = t
             for si, per in ms.contrib.items():
                 for h, (d, sg) in per.items():
-                    row = self.H if h < 0 else h
-                    self.contrib_d[row, si, gid] = d
-                    self.contrib_sigma[row, si, gid] = sg
+                    if h < 0:
+                        self.seed_gid[si] = gid
+                        self.seed_d[si] = d
+                        self.seed_sigma[si] = sg
+                    else:
+                        row = int(self.report_rows([h], [gid])[0])
+                        self.rep_d[row, si] = d
+                        self.rep_sigma[row, si] = sg
         self.head = self.schedule_key().min(axis=0)
         self.unfired = ((self.ent_d != INF) & ~self.fired).sum(axis=1)

@@ -11,8 +11,8 @@ from repro.graph.digraph import DiGraph
 
 
 # ``--hypothesis-profile=ci`` runs a property test at a larger budget
-# (the CI step for the relax- and staging-rule differential tests);
-# without it, hypothesis's default budget applies.
+# (the CI step for the relax-, staging- and inbox-rule differential
+# tests); without it, hypothesis's default budget applies.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
@@ -105,6 +105,11 @@ class MasterRig:
     master and ``fire`` evaluates the send rule for one round — the two
     master-side steps of every forward round — without relaxations.
     Rounds must be fired in order: skipping a due round is a missed fire.
+
+    The graph is a bidirectional path partitioned over 3 hosts (CVC), so
+    at the default ``n = 8`` vertex 5 has proxies on hosts 1 and 2: a
+    master stores a host's report on that host's proxy row, and only a
+    host holding a proxy of the vertex can report it.
     """
 
     def __init__(self, batch: list[int], n: int = 8, hosts: int = 3) -> None:
@@ -113,7 +118,7 @@ class MasterRig:
         from repro.engine.stats import EngineRun
         from repro.runtime.plane import GluonArrayPlane
 
-        pg = partition_graph(gen.path_graph(n, bidirectional=False), hosts, "cvc")
+        pg = partition_graph(gen.path_graph(n, bidirectional=True), hosts, "cvc")
         self.ex = _ArrayBatchExecutor(
             pg,
             GluonArrayPlane(pg),

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.brandes import brandes_bc
 from repro.baselines.sbbc import sbbc_engine
-from repro.core.mrbc import mrbc_engine
+from repro.core.mrbc import INF, mrbc_engine
 from repro.core.mrbc_congest import mrbc_congest
 from repro.engine.partition import partition_graph
 from repro.graph.builders import from_edges
@@ -134,6 +134,15 @@ class TestMasterVertexState:
         assert rig.fire(2) == [(5, 0, 1, 1.0)]
         assert rig.fire(3) == [(5, 1, 1, 1.0)]
         assert rig.row(5).tau == {0: 2, 1: 3}
+
+    def test_report_from_host_without_proxy_raises(self):
+        rig = MasterRig(batch=[0])
+        assert rig.ex.arena.lut[0, 5] < 0  # host 0 holds no proxy of 5
+        with pytest.raises(ValueError, match=r"without a proxy.*\(0, 5\)"):
+            rig.contribute(5, 0, host=0, d=1, sigma=1.0)
+        # Rejected before any write: no master, no stored report.
+        assert 5 not in rig.ex.masters.to_rows()
+        assert (rig.ex.masters.rep_d == INF).all()
 
 
 class TestInputValidation:

@@ -1,6 +1,10 @@
 """White-box tests for the MRBC engine executor internals:
 local-list maintenance, the forward relax rules, delayed-sync staging,
-backward scheduling, and the incrementally maintained send schedule."""
+the master inbox merge, backward scheduling, the incrementally
+maintained send schedule, and the one-live-batch rule."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,14 +13,14 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.baselines.brandes import brandes_bc
-from repro.core.mrbc import INF, _ArrayBatchExecutor, mrbc_engine
+from repro.core.mrbc import INF, MasterVertexState, _ArrayBatchExecutor, mrbc_engine
 from repro.engine.partition import partition_graph
 from repro.engine.stats import EngineRun
 from repro.graph import generators as gen
 from repro.graph.builders import from_edges
 from repro.obs.rounds import RoundLedger
 from repro.resilience.context import ResilienceContext
-from repro.resilience.plan import get_plan
+from repro.resilience.plan import FaultPlan, FaultSpec, get_plan
 from repro.runtime.arrays import BIG, ColumnBlock, MasterColumns
 from repro.runtime.plane import GluonArrayPlane
 
@@ -447,6 +451,306 @@ class TestStageRules:
             ]
 
 
+#: Report σ values: small counts beside 2⁵³ and past it, so a σ* fold
+#: in any order but hosts ascending, virtual source last, changes bits.
+INBOX_SIGMAS = st.sampled_from([2.0**53, 1.0, 2.0, 2.0**53 + 2, 3.0, 2.0**60])
+
+
+class DenseInboxReference:
+    """The master inbox merge over dense ``(H+1) × k × n`` report tables.
+
+    Host ``h``'s report for cell ``(si, gid)`` sits at ``[h, si, gid]``
+    and the virtual source's seed at ``[H, si, gid]``.  Reports apply
+    one at a time (a report replaces the sender's previous one unless
+    it is worse), and σ* adds the reports at d* in row order — hosts
+    ascending, virtual source last — one float addition at a time.
+    """
+
+    def __init__(self, k, n, H, batch):
+        self.k, self.H = k, H
+        self.cd = np.full((H + 1, k, n), INF, dtype=np.int64)
+        self.cs = np.zeros((H + 1, k, n))
+        self.ent_d = np.full((k, n), INF, dtype=np.int64)
+        self.best_sigma = np.zeros((k, n))
+        self.fired = np.zeros((k, n), dtype=bool)
+        self.order = []
+        for si, s in enumerate(batch):
+            self._register(s)
+            self.cd[H, si, s] = 0
+            self.cs[H, si, s] = 1.0
+            self.ent_d[si, s] = 0
+            self.best_sigma[si, s] = 1.0
+
+    def _register(self, gid):
+        if gid not in self.order:
+            self.order.append(gid)
+
+    def merge(self, reports):
+        """Apply ``(sender, si, gid, d, sigma)`` reports in inbox order."""
+        for h, si, gid, d, sg in reports:
+            self._register(gid)
+            if self.cd[h, si, gid] >= d:
+                self.cd[h, si, gid] = d
+                self.cs[h, si, gid] = sg
+        for si, gid in {(si, gid) for _h, si, gid, _d, _sg in reports}:
+            col = self.cd[:, si, gid]
+            d_star = col.min()
+            sig = 0.0
+            for r in range(self.H + 1):
+                if col[r] == d_star:
+                    sig += float(self.cs[r, si, gid])
+            self.ent_d[si, gid] = d_star
+            self.best_sigma[si, gid] = sig
+
+    def fire_round_one(self):
+        """Round 1 fires each master's head if it sits at distance 0."""
+        for gid in self.order:
+            due = np.nonzero((self.ent_d[:, gid] == 0) & ~self.fired[:, gid])[0]
+            if due.size:
+                self.fired[due[0], gid] = True
+
+    def head(self, si_bits):
+        act = (self.ent_d != INF) & ~self.fired
+        si_col = np.arange(self.k, dtype=np.int64)[:, None]
+        return np.where(act, (self.ent_d << si_bits) | si_col, BIG).min(axis=0)
+
+    def unfired(self):
+        return ((self.ent_d != INF) & ~self.fired).sum(axis=1)
+
+    def rows(self):
+        """The row form, as comparable tuples (contrib key order kept)."""
+        out = {}
+        for gid in self.order:
+            sis = np.nonzero(self.ent_d[:, gid] != INF)[0].tolist()
+            contrib = {}
+            for si in sis:
+                per = []
+                for r in [self.H, *range(self.H)]:
+                    if self.cd[r, si, gid] != INF:
+                        per.append((-1 if r == self.H else r, (
+                            int(self.cd[r, si, gid]), float(self.cs[r, si, gid])
+                        )))
+                if per:
+                    contrib[si] = per
+            out[gid] = (
+                sorted((int(self.ent_d[si, gid]), si) for si in sis),
+                {si: (int(self.ent_d[si, gid]), float(self.best_sigma[si, gid]))
+                 for si in sis},
+                {si: 1 for si in sis if self.fired[si, gid]},
+                int(self.fired[:, gid].sum()),
+                contrib,
+            )
+        return out
+
+
+def comparable_rows(masters):
+    return {
+        gid: (ms.entries, ms.best, ms.tau, ms.sent_prefix,
+              {si: list(per.items()) for si, per in ms.contrib.items()})
+        for gid, ms in masters.items()
+    }
+
+
+class TestInboxRules:
+    """``_apply_forward_inbox`` over the per-proxy-row report store
+    against :class:`DenseInboxReference`."""
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_matches_dense_reference(self, data):
+        policy = data.draw(st.sampled_from(["cvc", "random"]), label="policy")
+        H = data.draw(st.sampled_from([2, 3, 8, 9]), label="H")
+        k = data.draw(st.sampled_from([1, 3, 32, 33]), label="k")
+        n = data.draw(st.integers(max(k + 1, 6), max(k + 1, 6) + 8), label="n")
+        rng = np.random.default_rng(
+            data.draw(st.integers(0, 2**32 - 1), label="seed")
+        )
+        extra = rng.integers(0, n, size=(2 * n, 2))
+        edges = [(i, i + 1) for i in range(n - 1)]
+        edges += [(int(u), int(w)) for u, w in extra if u != w]
+        # A hub with an in-edge from every vertex: under the random
+        # (outgoing edge-cut) policy it has a proxy on nearly every host.
+        hub = int(rng.integers(n))
+        edges += [(u, hub) for u in range(n) if u != hub]
+        g = from_edges(n, edges)
+        kw = {"seed": int(rng.integers(2**31))} if policy == "random" else {}
+        pg = partition_graph(g, H, policy, **kw)
+        batch = np.sort(rng.permutation(n)[:k]).astype(np.int64)
+        ex = _ArrayBatchExecutor(
+            pg, GluonArrayPlane(pg), EngineRun(num_hosts=H), batch, True
+        )
+        ref = DenseInboxReference(k, n, H, batch.tolist())
+        M = ex.masters
+        rs = ex.run.new_round("forward")
+        # Few hot cells — a batch source's own cell, the vertices with
+        # the most proxy hosts — so stale, equal-distance and
+        # repeated-sender reports are common.
+        n_proxies = np.diff(pg.vertex_host_csr("proxies")[0])
+        hot = sorted({
+            int(batch[0]), int(rng.integers(n)),
+            *np.argsort(-n_proxies, kind="stable")[:2].tolist(),
+        })
+        own = {int(s): si for si, s in enumerate(batch)}
+        for step in range(data.draw(st.integers(1, 3), label="inboxes")):
+            # Round 1 fires the distance-0 heads after the first inbox;
+            # later reports keep d >= 1, so no fired entry changes.
+            lo = 0 if step == 0 else 1
+            reports = []
+            for _ in range(data.draw(st.integers(1, 16), label="reports")):
+                gid = data.draw(st.sampled_from(hot), label="gid")
+                h = data.draw(st.sampled_from(
+                    pg.hosts_with_proxy(gid).tolist()), label="sender")
+                si = data.draw(st.sampled_from(
+                    sorted({0, k - 1, own.get(gid, 0)})), label="si")
+                for _rep in range(data.draw(st.integers(1, 2), label="times")):
+                    reports.append((h, si, gid, data.draw(
+                        st.integers(lo, lo + 1), label="d"),
+                        data.draw(INBOX_SIGMAS, label="sigma")))
+            if data.draw(st.booleans(), label="fan-in"):
+                # Every proxy host reports one cell at one distance, in
+                # a drawn order: a σ* fold over many hosts.  Skewed, the
+                # lowest host sends 2⁵³ and the others 1, so only the
+                # in-order fold gives 2⁵³.
+                gid = data.draw(st.sampled_from(hot), label="fan gid")
+                proxies = pg.hosts_with_proxy(gid).tolist()
+                if data.draw(st.booleans(), label="skewed"):
+                    sigmas = [2.0**53] + [1.0] * (len(proxies) - 1)
+                else:
+                    sigmas = [data.draw(INBOX_SIGMAS, label="fan sigma")
+                              for _h in proxies]
+                reports += [
+                    (h, own.get(gid, 0), gid, lo, sigmas[proxies.index(h)])
+                    for h in data.draw(st.permutations(proxies), label="order")
+                ]
+            # The inbox holds one block per master host; reports reach
+            # the merge in master-host order, drawn order within.
+            inbox = [None] * H
+            ordered = []
+            for mh in range(H):
+                mine = [r for r in reports if pg.master_of[r[2]] == mh]
+                if mine:
+                    inbox[mh] = ColumnBlock.from_tuples(
+                        [(gid, h, si, d, sg) for h, si, gid, d, sg in mine],
+                        (np.int64, np.int64, np.int64, np.float64),
+                    )
+                    ordered += mine
+            ex._apply_forward_inbox(inbox, rs)
+            ref.merge(ordered)
+            if step == 0:
+                ex._emit_fires(1, rs)
+                ref.fire_round_one()
+            assert np.array_equal(M.ent_d, ref.ent_d)
+            assert np.array_equal(
+                M.best_sigma.view(np.int64), ref.best_sigma.view(np.int64)
+            )
+            assert np.array_equal(M.fired, ref.fired)
+            assert np.array_equal(M.head, ref.head(M.si_bits))
+            assert np.array_equal(M.unfired, ref.unfired())
+            rows = M.to_rows()
+            assert list(rows) == ref.order
+            assert comparable_rows(rows) == ref.rows()
+            rebuilt = MasterColumns(k, n, ex.arena)
+            rebuilt.from_rows(rows)
+            for col in ("rep_d", "rep_sigma", "seed_gid", "seed_d", "seed_sigma"):
+                assert np.array_equal(getattr(rebuilt, col), getattr(M, col)), col
+
+    def test_sigma_star_folds_hosts_in_order(self):
+        # All 10 hosts report vertex 0 at d* = 1, in reverse host order.
+        # Folded hosts ascending, σ* = 2⁵³ + 1 + ... + 1 = 2⁵³ (each + 1
+        # rounds back to 2⁵³).  A sum that adds the 1s first — reverse
+        # order, ``np.add.reduceat``, NumPy's pairwise ``sum`` over ten
+        # terms — gives more.
+        n, H = 40, 10
+        g = from_edges(n, [(i, 0) for i in range(1, n)])
+        pg = partition_graph(g, H, "random", seed=0)
+        ex = _ArrayBatchExecutor(
+            pg, GluonArrayPlane(pg), EngineRun(num_hosts=H),
+            np.array([1], dtype=np.int64), True,
+        )
+        assert pg.hosts_with_proxy(0).tolist() == list(range(H))
+        inbox = [None] * H
+        inbox[int(pg.master_of[0])] = ColumnBlock.from_tuples(
+            [(0, h, 0, 1, 2.0**53 if h == 0 else 1.0) for h in reversed(range(H))],
+            (np.int64, np.int64, np.int64, np.float64),
+        )
+        ex._apply_forward_inbox(inbox, ex.run.new_round("forward"))
+        assert ex.masters.best_sigma[0, 0] == 2.0**53
+        assert list(ex.masters.to_rows()[0].contrib[0]) == list(range(H))
+
+    def test_sigma_star_folds_hosts_in_order_then_seed(self):
+        # A source cell that hosts 1 and 2 also report at distance 0:
+        # in order, σ* = (1 + 2⁵³) + 1 = 2⁵³ (the seed's 1 comes last);
+        # the seed first would give (1 + 1) + 2⁵³ = 2⁵³ + 2.
+        g = gen.path_graph(8, bidirectional=True)
+        ex = make_executor(g, [5], H=3)
+        assert ex.arena.lut[1, 5] >= 0 and ex.arena.lut[2, 5] >= 0
+        inbox = [None] * 3
+        inbox[int(ex.pg.master_of[5])] = ColumnBlock.from_tuples(
+            [(5, 2, 0, 0, 2.0**53), (5, 1, 0, 0, 1.0)],
+            (np.int64, np.int64, np.int64, np.float64),
+        )
+        ex._apply_forward_inbox(inbox, ex.run.new_round("forward"))
+        assert ex.masters.best_sigma[0, 5] == 2.0**53
+        assert list(ex.masters.to_rows()[5].contrib[0]) == [-1, 1, 2]
+
+    def test_row_form_report_from_host_without_proxy_raises(self):
+        ex = make_executor(gen.path_graph(8, bidirectional=True), [0], H=3)
+        rows = ex.masters.to_rows()
+        assert ex.arena.lut[0, 5] < 0
+        ms = MasterVertexState()
+        ms.best = {0: (1, 1.0)}
+        ms.entries = [(1, 0)]
+        ms.contrib = {0: {0: (1, 1.0)}}
+        rows[5] = ms
+        with pytest.raises(ValueError, match="without a proxy"):
+            MasterColumns(1, 8, ex.arena).from_rows(rows)
+
+
+class TestOneLiveBatch:
+    """``mrbc_engine`` banks a batch before building the next one, so no
+    earlier batch's executor is alive when a later batch allocates."""
+
+    def _run(self, monkeypatch, **kw):
+        built = []
+        alive = []
+        init = _ArrayBatchExecutor.__init__
+
+        def tracked_init(self, pg, gluon, run, batch, *args, **kwargs):
+            gc.collect()
+            key = tuple(batch.tolist())
+            alive.append([b for b, ref in built if b != key and ref() is not None])
+            init(self, pg, gluon, run, batch, *args, **kwargs)
+            built.append((key, weakref.ref(self)))
+
+        monkeypatch.setattr(_ArrayBatchExecutor, "__init__", tracked_init)
+        res = mrbc_engine(
+            gen.from_spec("er:40:3", seed=7), sources=list(range(9)),
+            batch_size=3, num_hosts=3, **kw,
+        )
+        assert len({b for b, _ref in built}) == 3
+        assert alive and not any(alive), alive
+        gc.collect()
+        assert all(ref() is None for _b, ref in built)
+        return res
+
+    def test_fault_free(self, monkeypatch):
+        res = self._run(monkeypatch)
+        assert res.partial is None
+
+    def test_degrading_policy_drops_a_batch(self, monkeypatch):
+        plan = FaultPlan(
+            name="crash@3", seed=7,
+            specs=(FaultSpec(kind="crash", host=1, round=3),),
+        )
+        res = self._run(
+            monkeypatch,
+            resilience=ResilienceContext(plan=plan, mode="repair"),
+            recovery_policy="failfast",
+        )
+        assert res.partial is not None
+        assert 0.0 < res.partial.coverage < 1.0
+
+
 class TestBackwardScheduling:
     def test_fire_rounds_reverse_taus(self):
         g = from_edges(3, [(0, 1), (1, 2)])
@@ -512,7 +816,7 @@ def assert_schedule_current(M):
     head, unfired = dense_schedule(M)
     assert np.array_equal(M.head, head)
     assert np.array_equal(M.unfired, unfired)
-    rebuilt = MasterColumns(M.k, M.n, M.H)
+    rebuilt = MasterColumns(M.k, M.n, M.arena)
     rebuilt.from_rows(M.to_rows())
     assert np.array_equal(rebuilt.head, head)
     assert np.array_equal(rebuilt.unfired, unfired)

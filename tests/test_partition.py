@@ -152,6 +152,23 @@ class TestPolicySpecifics:
         assert np.array_equal(pg.shared_proxies, pg.shared_proxies.T)
         assert (np.diag(pg.shared_proxies) == 0).all()
 
+    @pytest.mark.parametrize("H", [1, 3, 8, 64])
+    @pytest.mark.parametrize(
+        "spec", ["er:300:4", "rmat:9:6", "grid:16:16", "webcrawl:200:200"]
+    )
+    def test_shared_proxies_match_per_vertex_count(self, spec, H):
+        g = gen.from_spec(spec, seed=5)
+        pg = partition_graph(g, H, "cvc")
+        want = np.zeros((H, H), dtype=np.int64)
+        for v in range(g.num_vertices):
+            hs = pg.hosts_with_proxy(v)
+            want[np.ix_(hs, hs)] += 1
+        np.fill_diagonal(want, 0)
+        assert pg.shared_proxies.dtype == np.int64
+        assert np.array_equal(pg.shared_proxies, want)
+        if H > 1:
+            assert want.any()
+
     def test_lids_of_roundtrip(self, graph):
         pg = partition_graph(graph, 3, "oec")
         p = pg.parts[0]

@@ -302,11 +302,14 @@ class TestBenchCLI:
                        "--warmup", "0", "--out", str(out1), "-q"])
         assert rc == 0
         assert out1.exists()
+        # The compare legs gate counts only: one repeat cannot resolve a
+        # wall median, so a slow phase of the host would fail the PASS
+        # leg.  The wall gate has its own deterministic leg below.
         # Fresh run against its own snapshot: PASS, exit 0.
         out2 = tmp_path / "BENCH_b.json"
         rc = cli_main(["bench", "--smoke", "--cases", "er60", "--repeats", "1",
                        "--warmup", "0", "--out", str(out2),
-                       "--compare", str(out1), "-q"])
+                       "--compare", str(out1), "--wall", "never", "-q"])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
         # Inject a regression into the baseline: FAIL, exit 1.
@@ -315,9 +318,28 @@ class TestBenchCLI:
         out1.write_text(json.dumps(doc))
         rc = cli_main(["bench", "--smoke", "--cases", "er60", "--repeats", "1",
                        "--warmup", "0", "--out", str(out2),
-                       "--compare", str(out1), "-q"])
+                       "--compare", str(out1), "--wall", "never", "-q"])
         assert rc == 1
         assert "bytes changed" in capsys.readouterr().out
+
+    def test_wall_gate_fails_against_an_unbeatable_baseline(self, tmp_path, capsys):
+        base = tmp_path / "BENCH_a.json"
+        rc = cli_main(["bench", "--smoke", "--cases", "er60", "--repeats", "1",
+                       "--warmup", "0", "--out", str(base), "-q"])
+        assert rc == 0
+        # Zero wall time and zero tolerance: every real run is slower.
+        doc = json.loads(base.read_text())
+        for c in doc["cases"]:
+            c["wall_s"] = {"samples": [0.0], "median": 0.0, "iqr": 0.0}
+        base.write_text(json.dumps(doc))
+        rc = cli_main(["bench", "--smoke", "--cases", "er60", "--repeats", "1",
+                       "--warmup", "0", "--out", str(tmp_path / "BENCH_b.json"),
+                       "--compare", str(base), "--wall", "always",
+                       "--wall-threshold", "0", "-q"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "wall median regressed" in out
+        assert "changed" not in out  # the counts still match
 
     def test_unknown_case_filter_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
