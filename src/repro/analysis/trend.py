@@ -13,10 +13,13 @@ Snapshots are heterogeneous by design — suites grew over time, the
 ``comm`` and ``rounds`` sections appeared mid-series — so the trend is
 grouped per *case name*: a case contributes one point per snapshot that
 ran it, and count columns are shown from the first snapshot that carried
-them.  (Snapshots from when MRBC/SBBC had a second execution tier also
-carry ``<case>@array`` twins, trended as cases of their own, and a
-speedup field under ``wall_s`` that is not read.)  Between consecutive
-points of the same case the step is classified:
+them.  Snapshots from when MRBC/SBBC had a second execution tier (up to
+``BENCH_b05e6a269e54.json``) ran each unsuffixed case on the per-vertex
+dict tier and its columnar twin as ``<case>@array``; the unsuffixed name
+runs the columnar tier today, so the twin is that snapshot's point for
+``<case>`` and the dict-tier entry is skipped (its speedup field under
+``wall_s`` is not read either).  Between consecutive points of the same
+case the step is classified:
 
 - any gated deterministic / comm / rounds count change is a **change**
   (the behavioural drift ``--compare`` would have flagged at the time);
@@ -46,6 +49,9 @@ from repro.obs.bench import (
     load_bench,
     repo_root,
 )
+
+#: Case-name suffix of the columnar twins in two-tier-era snapshots.
+ARRAY_TWIN_SUFFIX = "@array"
 
 #: Same noise rule as ``compare_bench``: a wall move must exceed
 #: ``threshold × max(IQR_prev, IQR_cur, floor)`` to be a trend step.
@@ -255,7 +261,11 @@ def build_trend(
                 "created_unix": doc.get("created_unix"),
             }
         )
+        names = {case["name"] for case in doc.get("cases", [])}
         for case in doc.get("cases", []):
+            if case["name"] + ARRAY_TWIN_SUFFIX in names:
+                continue  # dict-tier run; its columnar twin is the point
+            name = case["name"].removesuffix(ARRAY_TWIN_SUFFIX)
             wall = case.get("wall_s", {})
             pt = TrendPoint(
                 sha=sha,
@@ -268,7 +278,7 @@ def build_trend(
                 rounds=case.get("rounds"),
                 environment=doc.get("environment", {}),
             )
-            series = report.cases.setdefault(case["name"], [])
+            series = report.cases.setdefault(name, [])
             if series:
                 _classify(series[-1], pt, wall_threshold, wall_floor_s)
             series.append(pt)

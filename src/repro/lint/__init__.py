@@ -2,59 +2,38 @@
 
 Rule families: ``RL1xx`` determinism, ``RL2xx`` CONGEST protocol,
 ``RL3xx`` Gluon delayed synchronization, ``RL4xx`` observability /
-resilience hygiene, ``RL5xx`` vectorization-readiness and ``RL6xx``
-parallel-safety (interprocedural, over the whole-program call graph).
-See ``docs/STATIC_ANALYSIS.md`` for the full rule table and the paper
+resilience hygiene.  Every rule is a per-file AST pass.  See
+``docs/STATIC_ANALYSIS.md`` for the full rule table and the paper
 invariants each encodes.
 
 Programmatic entry points::
 
     from repro.lint import lint_main          # CLI (repro lint ...)
     from repro.lint import run_lint, RULES    # library use
-    from repro.lint import Program, analyze_sources   # dataflow layer
 """
 
 from repro.lint.baseline import Baseline
 from repro.lint.cli import lint_main
-from repro.lint.dataflow import (
-    Program,
-    analyze_sources,
-    explain_effects,
-    readiness_report,
-)
-from repro.lint.effects import FunctionEffects, ModuleEffects, infer_effects
 from repro.lint.findings import (
     SEVERITY_ERROR,
     SEVERITY_WARNING,
     Finding,
     sort_findings,
 )
-from repro.lint.runner import LintCache, LintResult, lint_file, run_lint
+from repro.lint.runner import LintResult, lint_file, run_lint
 from repro.lint.rules import RULES, ModuleInfo, run_rules
-from repro.lint.sarif import from_sarif, to_sarif, write_sarif
 
 __all__ = [
     "Baseline",
     "Finding",
-    "FunctionEffects",
-    "LintCache",
     "LintResult",
-    "ModuleEffects",
     "ModuleInfo",
-    "Program",
     "RULES",
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
-    "analyze_sources",
-    "explain_effects",
-    "from_sarif",
-    "infer_effects",
     "lint_file",
     "lint_main",
-    "readiness_report",
     "run_lint",
     "run_rules",
     "sort_findings",
-    "to_sarif",
-    "write_sarif",
 ]

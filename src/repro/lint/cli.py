@@ -6,11 +6,6 @@ Examples::
     repro lint src --format json             # machine-readable report
     repro lint src tests --no-baseline       # show everything, incl. baselined
     repro lint src tests --write-baseline    # (re)capture + prune report
-    repro lint --changed                     # only git-touched files, whole
-                                             #   program graph from cache
-    repro lint src --readiness               # per-driver ready/blocked gate
-    repro lint src --effects mrbc_engine     # inferred effect summary
-    repro lint src --sarif lint.sarif        # SARIF 2.1.0 artifact
     repro lint --list-rules
 
 Exit status: 0 when no *new* findings remain after pragma and baseline
@@ -20,21 +15,14 @@ suppression, 1 otherwise, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint import dataflow
 from repro.lint.baseline import Baseline
 from repro.lint.config import find_project_root, load_config
+from repro.lint.findings import SEVERITY_ERROR
 from repro.lint.rules import RULES
-from repro.lint.runner import (
-    LintCache,
-    render_json,
-    render_text,
-    run_lint,
-)
-from repro.lint.sarif import write_sarif
+from repro.lint.runner import PARSE_ERROR_CODE, render_json, render_text, run_lint
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,8 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Domain-aware static analysis: determinism (RL1xx), CONGEST "
             "protocol conformance (RL2xx), delayed-sync safety (RL3xx), "
-            "obs/resilience hygiene (RL4xx), interprocedural "
-            "vectorization-readiness (RL5xx) and parallel-safety (RL6xx)."
+            "obs/resilience hygiene (RL4xx)."
         ),
     )
     p.add_argument(
@@ -82,43 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "lint only files git reports as changed (vs HEAD, plus "
-            "untracked); the whole-program call graph still covers the "
-            "configured graph roots, served from the incremental cache"
-        ),
-    )
-    p.add_argument(
-        "--effects",
-        metavar="FUNCTION",
-        default=None,
-        help=(
-            "explain mode: print the inferred effect summary, call "
-            "neighborhood, and finding chains for FUNCTION, then exit"
-        ),
-    )
-    p.add_argument(
-        "--sarif",
-        metavar="FILE",
-        default=None,
-        help="additionally write the report as a SARIF 2.1.0 document",
-    )
-    p.add_argument(
-        "--readiness",
-        action="store_true",
-        help=(
-            "print the per-driver vectorization/parallel-safety readiness "
-            "report (always included in --format json)"
-        ),
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the incremental cache; analyze every file cold",
-    )
-    p.add_argument(
         "--select",
         metavar="CODES",
         default=None,
@@ -140,36 +90,6 @@ def _split_codes(raw: str | None) -> set[str]:
     if not raw:
         return set()
     return {tok.strip() for tok in raw.split(",") if tok.strip()}
-
-
-def _changed_files(root: Path) -> list[Path] | None:
-    """Python files git reports as modified vs HEAD, plus untracked."""
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", "HEAD", "--"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    names = {
-        line.strip()
-        for out in (diff.stdout, untracked.stdout)
-        for line in out.splitlines()
-        if line.strip()
-    }
-    return sorted(
-        root / n for n in names if n.endswith(".py") and (root / n).is_file()
-    )
 
 
 def _report_baseline_prune(old: Baseline, new: Baseline) -> None:
@@ -194,10 +114,11 @@ def lint_main(argv: list[str] | None = None) -> int:
 
     if args.list_rules:
         for code, rule in sorted(RULES.items()):
-            scope = "  [whole-program]" if rule.scope == "program" else ""
-            print(
-                f"{code}  {rule.severity:<7}  {rule.name}: {rule.summary}{scope}"
-            )
+            print(f"{code}  {rule.severity:<7}  {rule.name}: {rule.summary}")
+        print(
+            f"{PARSE_ERROR_CODE}  {SEVERITY_ERROR:<7}  parse-error: file does "
+            "not parse, so no rule can check it"
+        )
         return 0
 
     targets = args.paths or ["src"]
@@ -218,31 +139,9 @@ def lint_main(argv: list[str] | None = None) -> int:
     baseline_path = (
         Path(args.baseline) if args.baseline else cfg.baseline_path
     )
-    cache = None if args.no_cache else LintCache.load(cfg.cache_path)
-    graph_targets: list[str | Path] | None = None
-
-    if args.changed:
-        changed = _changed_files(root)
-        if changed is None:
-            print(
-                "repro lint: --changed requires a git checkout",
-                file=sys.stderr,
-            )
-            return 2
-        graph_targets = [root / g for g in cfg.graph if (root / g).exists()]
-        targets = [p for p in changed]
-        if not targets:
-            print("repro lint: no changed python files -- PASS")
-            return 0
 
     if args.write_baseline:
-        result = run_lint(
-            targets,
-            project_root=root,
-            enabled=enabled,
-            cache=cache,
-            graph_targets=graph_targets,
-        )
+        result = run_lint(targets, project_root=root, enabled=enabled)
         new = Baseline.from_findings(result.active)
         if baseline_path.is_file():
             _report_baseline_prune(Baseline.load(baseline_path), new)
@@ -265,37 +164,12 @@ def lint_main(argv: list[str] | None = None) -> int:
             baseline = Baseline.load(baseline_path)
 
     result = run_lint(
-        targets,
-        project_root=root,
-        enabled=enabled,
-        baseline=baseline,
-        cache=cache,
-        graph_targets=graph_targets,
+        targets, project_root=root, enabled=enabled, baseline=baseline
     )
-
-    if args.effects:
-        report = dataflow.explain_effects(
-            result.program, args.effects, result.active
-        )
-        if report is None:
-            print(
-                f"repro lint: no function named '{args.effects}' in the "
-                "analyzed set",
-                file=sys.stderr,
-            )
-            return 2
-        print(report, end="")
-        return 0
-
-    if args.sarif:
-        write_sarif(args.sarif, result.active, result.suppressed)
-
     if args.format == "json":
         render_json(result)
     else:
         render_text(result)
-        if args.readiness:
-            dataflow.render_readiness(result.readiness, sys.stdout)
     return 0 if result.ok else 1
 
 

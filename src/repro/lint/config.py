@@ -4,11 +4,9 @@ Read with :mod:`tomllib` (stdlib); absence of the file or the table means
 all defaults.  Recognized keys::
 
     [tool.repro-lint]
-    baseline = "lint-baseline.json"    # project-root-relative path
-    disable = ["RL402"]                # rule codes disabled globally
-    select = []                        # if non-empty, ONLY these codes run
-    cache = ".repro-lint-cache.json"   # incremental-cache path
-    graph = ["src"]                    # call-graph roots for --changed runs
+    baseline = "lint-baseline.json"   # project-root-relative path
+    disable = ["RL402"]               # rule codes disabled globally
+    select = []                       # if non-empty, ONLY these codes run
 
 CLI flags (``--baseline``, ``--select``, ``--disable``) override the
 file.  The project root is found by walking up from the first lint
@@ -35,8 +33,6 @@ TABLE = "repro-lint"
 class LintConfig:
     project_root: Path
     baseline_path: Path
-    cache_path: Path = Path(".repro-lint-cache.json")
-    graph: tuple[str, ...] = ("src",)
     disable: frozenset[str] = frozenset()
     select: frozenset[str] = frozenset()
 
@@ -65,13 +61,9 @@ def load_config(project_root: str | Path) -> LintConfig:
             data = tomllib.load(fh)
         table = data.get("tool", {}).get(TABLE, {})
     baseline = table.get("baseline", DEFAULT_BASELINE_NAME)
-    cache = table.get("cache", ".repro-lint-cache.json")
-    graph = table.get("graph", ["src"])
     return LintConfig(
         project_root=root,
         baseline_path=root / str(baseline),
-        cache_path=root / str(cache),
-        graph=tuple(str(g) for g in graph),
         disable=frozenset(str(c) for c in table.get("disable", [])),
         select=frozenset(str(c) for c in table.get("select", [])),
     )

@@ -33,9 +33,6 @@ class Finding:
     symbol: str = ""
     #: How the finding was (not) suppressed: "" | "pragma" | "baseline".
     suppressed_by: str = field(default="", compare=False)
-    #: Interprocedural rules attach the call chain behind the verdict
-    #: (root -> ... -> function); excluded from identity and fingerprint.
-    chain: str = field(default="", compare=False)
 
     def fingerprint(self) -> str:
         """Stable identity for baselining (line-number independent)."""
@@ -46,7 +43,7 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}"
 
     def to_dict(self) -> dict[str, object]:
-        out: dict[str, object] = {
+        return {
             "code": self.code,
             "severity": self.severity,
             "path": self.path,
@@ -56,9 +53,6 @@ class Finding:
             "message": self.message,
             "fingerprint": self.fingerprint(),
         }
-        if self.chain:
-            out["chain"] = self.chain
-        return out
 
 
 def sort_findings(findings: list[Finding]) -> list[Finding]:

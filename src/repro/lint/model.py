@@ -280,206 +280,6 @@ ROUND_STATE_EXEMPT_PARTS = RUNTIME_IMPL_PARTS + OBS_IMPL_PARTS + (
 )
 
 
-# -- interprocedural dataflow model (RL5xx / RL6xx) ----------------------------
-
-#: Path fragments of the modules that hold distributed per-source/per-
-#: vertex algorithm state — the code the NumPy-vectorization (ROADMAP
-#: item 1) and multiprocessing (item 2) refactors will rewrite, and
-#: therefore the only code the RL5xx/RL6xx dataflow rules police.  The
-#: runtime itself (the plane/loop implementation) is deliberately
-#: excluded: it *is* the seam.
-STATE_MODULE_PARTS = (
-    "repro/core/",
-    "repro/engine/",
-    "repro/congest/",
-    "repro/baselines/",
-)
-
-#: Attribute names of mutable containers holding per-source/per-vertex
-#: state (the flat-map lists, master tables, host-state collections, and
-#: δ accumulators of Alg. 3/5).  A *reference* to one of these escaping
-#: its owning structure pins today's dict/list representation and blocks
-#: swapping it for columnar arrays.
-STATE_CONTAINER_ATTRS = frozenset(
-    {
-        "local_lists",
-        "masters",
-        "hosts",
-        "entries",
-        "best",
-        "contrib",
-        "tau",
-        "delta",
-        "unsent",
-        "preds",
-        "settled",
-    }
-)
-
-#: Attribute names of per-source state *fields* (arrays, dicts, scalars
-#: alike).  RL503 requires every function that writes one of these to be
-#: reachable from a driver, a vertex-program handler, or a runtime seam
-#: — an orphan writer is a mutation path the vectorized plane would not
-#: know to marshal.
-STATE_FIELD_ATTRS = frozenset(
-    {
-        "cand_dist",
-        "cand_sigma",
-        "fin_dist",
-        "fin_sigma",
-        "dirty",
-        "partial_delta",
-        "delta_dirty",
-        "sent_d",
-        "local_lists",
-        "unsent",
-        "entries",
-        "best",
-        "contrib",
-        "tau",
-        "sent_prefix",
-    }
-)
-
-#: The runtime seams a stateful closure may be handed to: the superstep
-#: loop and its restart/guard policies, the supervisor's unit wrapper,
-#: phase scoping, the checkpoint policy container, and the CONGEST
-#: simulator's program factory.  A state-capturing closure that escapes
-#: anywhere else leaves the plane API's sight.
-RUNTIME_SEAM_CALLS = frozenset(
-    {
-        "run_loop",
-        "run_with_restart",
-        "run_guarded",
-        "run_unit",
-        "run_congest_with_restart",
-        "phase",
-        "CheckpointPolicy",
-        "CongestNetwork",
-    }
-)
-
-#: Order/aggregation builtins a closure may safely be passed to (sort
-#: keys and reductions do not retain the callable).
-CLOSURE_SAFE_BUILTINS = frozenset(
-    {"sorted", "min", "max", "map", "filter", "sum", "any", "all"}
-)
-
-#: Calls a state-container alias may be passed to without escaping:
-#: pure readers/iterators and the sorted-list primitives the flat-map
-#: schedule is built on.
-ALIAS_SAFE_CALLS = frozenset(
-    {
-        "len",
-        "sorted",
-        "enumerate",
-        "zip",
-        "sum",
-        "min",
-        "max",
-        "any",
-        "all",
-        "bool",
-        "list",
-        "tuple",
-        "set",
-        "dict",
-        "frozenset",
-        "range",
-        "reversed",
-        "iter",
-        "next",
-        "repr",
-        "str",
-        "isinstance",
-        "print",
-        "bisect_left",
-        "bisect_right",
-        "insort",
-        "insort_left",
-        "insort_right",
-        "heappush",
-        "heappop",
-        "heapify",
-        "deepcopy",
-        "copy",
-        "asarray",
-        "array",
-        "fromiter",
-    }
-)
-
-#: Collections indexed by host id.  Inside a loop over one of these,
-#: subscripting a host collection with anything but the loop's own index
-#: reads (or writes) *another* host's state — a barrier-bypassing access
-#: that only works because today's backend shares one address space.
-HOST_COLLECTION_NAMES = frozenset({"hosts", "parts"})
-
-#: Paths exempt from the cross-host access rule (RL603): the runtime
-#: plane and the Gluon substrate are the communication layer — touching
-#: every host's state is their job — and partition/persist own host-
-#: indexed layout and checkpoint marshalling.
-CROSS_HOST_EXEMPT_PARTS = RUNTIME_IMPL_PARTS + (
-    "repro/engine/gluon.py",
-    "repro/engine/partition.py",
-    "repro/engine/persist.py",
-    "repro/congest/network.py",
-)
-
-#: Receiver names that denote the shared Telemetry object or one of its
-#: ledgers.  Under a multi-worker backend these are cross-process shared
-#: state: *writes* must go through the recording seams (``note()``,
-#: ``record()``, ``observe()``...), which the runtime will marshal —
-#: direct field stores would race.
-TELEMETRY_RECEIVER_NAMES = frozenset({"tele", "telemetry"})
-LEDGER_RECEIVER_NAMES = frozenset({"ledger", "rledger", "comm_ledger"})
-
-#: Paths where direct telemetry/ledger field access is the
-#: implementation, not a bypass.
-TELEMETRY_IMPL_PARTS = OBS_IMPL_PARTS + (
-    "repro/analysis/",
-    "repro/cli/",
-    "repro/engine/stats.py",
-)
-
-#: CONGEST driver entry points (they do not match ``ENGINE_ENTRY_RE``
-#: but drive full partitioned runs and belong in the per-driver
-#: vectorization-readiness report).
-CONGEST_DRIVER_NAMES = frozenset(
-    {
-        "mrbc_congest",
-        "mrbc_congest_batched",
-        "directed_apsp",
-        "sbbc_congest",
-        "lenzen_peleg_apsp",
-    }
-)
-
-#: Methods on mutable containers that mutate the receiver in place —
-#: used to detect module-global mutation (RL601).
-MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "remove",
-        "discard",
-        "clear",
-        "insert",
-    }
-)
-
-#: Constructors whose module-level call binds a *mutable* container
-#: (``_CACHE = {}``-style registries).
-MUTABLE_CONSTRUCTOR_NAMES = frozenset(
-    {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
-)
-
-
 def is_test_path(relpath: str) -> bool:
     """Whether ``relpath`` is test code (exempt from determinism rules —
     tests are drivers and may time things or draw throwaway randomness)."""

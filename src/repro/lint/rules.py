@@ -252,12 +252,8 @@ class Rule:
     name: str
     severity: str
     summary: str
-    #: Callable (rule, ModuleInfo) -> Iterable[Finding] for module-scope
-    #: rules; (rule, Program) -> Iterable[Finding] for program scope.
+    #: Callable (rule, ModuleInfo) -> Iterable[Finding].
     check: object = field(repr=False, default=None)
-    #: "module" rules run per file in :func:`run_rules`; "program" rules
-    #: run once over the whole-program model (repro.lint.dataflow).
-    scope: str = "module"
 
     def finding(
         self, mod: ModuleInfo, node: ast.AST, message: str, symbol: str = ""
@@ -276,15 +272,10 @@ class Rule:
 RULES: dict[str, Rule] = {}
 
 
-def register(code: str, name: str, severity: str, summary: str, scope: str = "module"):
+def register(code: str, name: str, severity: str, summary: str):
     def deco(fn):
         RULES[code] = Rule(
-            code=code,
-            name=name,
-            severity=severity,
-            summary=summary,
-            check=fn,
-            scope=scope,
+            code=code, name=name, severity=severity, summary=summary, check=fn
         )
         return fn
 
@@ -292,18 +283,12 @@ def register(code: str, name: str, severity: str, summary: str, scope: str = "mo
 
 
 def run_rules(mod: ModuleInfo, enabled: Iterable[str] | None = None) -> list[Finding]:
-    """Run (the module-scope subset of) the registry over one module.
-
-    Program-scope rules need the whole-program model and run in
-    :func:`repro.lint.dataflow.run_program_rules` instead.
-    """
+    """Run (a subset of) the registry over one module."""
     out: list[Finding] = []
     for code in sorted(RULES):
         if enabled is not None and code not in enabled:
             continue
         rule = RULES[code]
-        if rule.scope != "module":
-            continue
         out.extend(rule.check(rule, mod))
     return out
 
@@ -1038,468 +1023,3 @@ def _rl405(rule: Rule, mod: ModuleInfo) -> Iterator[Finding]:
                     "read it back from UnitRounds/RoundState",
                     symbol=scope.qualname or "<module>",
                 )
-
-
-# -- RL5xx/RL6xx: interprocedural readiness (module-scope halves) --------------
-#
-# RL501/RL502 (vectorization) and RL602/RL603 (parallel safety) are the
-# per-module halves of the dataflow rule families; RL503 and RL601 need
-# the whole-program call graph and live in repro.lint.dataflow.
-
-
-def _alias_source(value: ast.AST) -> str | None:
-    """The state-container attr this expression aliases, or None.
-
-    Covers direct attribute reads (``st.local_lists``), subscript reads
-    (``st.local_lists[lid]``, ``self.hosts[h]``), and ``.get()``/
-    ``.setdefault()`` lookups (``self.masters.get(gid)``).
-    """
-    if isinstance(value, ast.Attribute) and value.attr in model.STATE_CONTAINER_ATTRS:
-        return value.attr
-    if isinstance(value, ast.Subscript):
-        t = terminal_name(value.value)
-        if t in model.STATE_CONTAINER_ATTRS:
-            return t
-    if (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Attribute)
-        and value.func.attr in ("get", "setdefault")
-    ):
-        t = terminal_name(value.func.value)
-        if t in model.STATE_CONTAINER_ATTRS:
-            return t
-    return None
-
-
-@register(
-    "RL501",
-    "aliased-state-escape",
-    SEVERITY_ERROR,
-    "reference to a mutable per-source state container escapes its "
-    "owning structure — pins the dict/list representation the columnar "
-    "GluonPlane refactor replaces",
-)
-def _rl501(rule: Rule, mod: ModuleInfo) -> Iterator[Finding]:
-    if model.is_test_path(mod.relpath) or not model.path_matches(
-        mod.relpath, model.STATE_MODULE_PARTS
-    ):
-        return
-    module_funcs = {s.name for s in mod.scopes if s.qualname and "." not in s.qualname}
-    for scope in mod.scopes:
-        if not scope.qualname:
-            continue
-        aliases: dict[str, str] = {}
-        for node in scope.walk():
-            if isinstance(node, ast.Assign):
-                src = _alias_source(node.value)
-                if src is None:
-                    continue
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Name):
-                        aliases[tgt.id] = src
-        if not aliases:
-            continue
-        for node in scope.walk():
-            if isinstance(node, ast.Assign):
-                val = node.value
-                if not (isinstance(val, ast.Name) and val.id in aliases):
-                    continue
-                src = aliases[val.id]
-                for tgt in node.targets:
-                    if (
-                        isinstance(tgt, ast.Attribute)
-                        and tgt.attr not in model.STATE_CONTAINER_ATTRS
-                    ):
-                        yield rule.finding(
-                            mod,
-                            tgt,
-                            f"alias '{val.id}' of state container "
-                            f"'.{src}' is stored onto '.{tgt.attr}' — the "
-                            "reference now outlives the plane's view of the "
-                            "state and pins its mutable representation "
-                            "(blocks the columnar rewrite, ROADMAP item 1)",
-                            symbol=scope.qualname,
-                        )
-                    elif isinstance(tgt, ast.Subscript):
-                        base = terminal_name(tgt.value)
-                        if base not in model.STATE_CONTAINER_ATTRS:
-                            yield rule.finding(
-                                mod,
-                                tgt,
-                                f"alias '{val.id}' of state container "
-                                f"'.{src}' is stored into "
-                                f"'{base or '<expr>'}[...]' outside the "
-                                "state family — an escaped reference the "
-                                "vectorized plane cannot track",
-                                symbol=scope.qualname,
-                            )
-            elif isinstance(node, ast.Call):
-                t = terminal_name(node.func)
-                if (
-                    t in model.ALIAS_SAFE_CALLS
-                    or t in model.RUNTIME_SEAM_CALLS
-                    or t in module_funcs
-                ):
-                    continue
-                root = chain_root(node.func)
-                if isinstance(root, ast.Name) and root.id == "self":
-                    continue
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in aliases
-                ):
-                    continue  # method on the alias itself
-                for arg in list(node.args) + [k.value for k in node.keywords]:
-                    if isinstance(arg, ast.Name) and arg.id in aliases:
-                        yield rule.finding(
-                            mod,
-                            arg,
-                            f"alias '{arg.id}' of state container "
-                            f"'.{aliases[arg.id]}' is passed to "
-                            f"'{t or '<expr>'}(...)' — outside the plane "
-                            "API and this module, the callee may retain or "
-                            "mutate the raw container behind the plane's "
-                            "back",
-                            symbol=scope.qualname,
-                        )
-
-
-def _scope_bound(scope: FunctionScope) -> set[str]:
-    """Names this scope binds: params, stores, imports, nested def/class
-    names (without descending into the nested bodies)."""
-    bound = set(scope.params)
-
-    def rec(n: ast.AST) -> None:
-        for child in ast.iter_child_nodes(n):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                bound.add(child.name)
-                continue
-            if isinstance(child, ast.Name) and isinstance(
-                child.ctx, (ast.Store, ast.Del)
-            ):
-                bound.add(child.id)
-            elif isinstance(child, (ast.Import, ast.ImportFrom)):
-                for alias in child.names:
-                    bound.add((alias.asname or alias.name).split(".")[0])
-            rec(child)
-
-    rec(scope.node)
-    return bound
-
-
-def _captured_names(node: ast.AST, outer_bound: set[str]) -> set[str]:
-    """Outer-scope bindings a nested def/lambda closes over."""
-    params: set[str] = set()
-    a = getattr(node, "args", None)
-    if a is not None:
-        params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
-        if a.vararg:
-            params.add(a.vararg.arg)
-        if a.kwarg:
-            params.add(a.kwarg.arg)
-    inner_bound = set(params)
-    loads: set[str] = set()
-    nonlocals: set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            if isinstance(sub.ctx, ast.Load):
-                loads.add(sub.id)
-            else:
-                inner_bound.add(sub.id)
-        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if sub is not node:
-                inner_bound.add(sub.name)
-        elif isinstance(sub, ast.Nonlocal):
-            nonlocals.update(sub.names)
-    inner_bound -= nonlocals
-    return ((loads & outer_bound) - inner_bound) | (nonlocals & outer_bound)
-
-
-@register(
-    "RL502",
-    "stateful-closure-escape",
-    SEVERITY_WARNING,
-    "closure capturing driver state escapes past the runtime seams — "
-    "captured state leaves the plane API's sight",
-)
-def _rl502(rule: Rule, mod: ModuleInfo) -> Iterator[Finding]:
-    if model.is_test_path(mod.relpath) or not model.path_matches(
-        mod.relpath, model.STATE_MODULE_PARTS
-    ):
-        return
-    module_funcs = {s.name for s in mod.scopes if s.qualname and "." not in s.qualname}
-    safe_calls = (
-        model.RUNTIME_SEAM_CALLS | model.CLOSURE_SAFE_BUILTINS | module_funcs
-    )
-    bound_by_qual = {s.qualname: _scope_bound(s) for s in mod.scopes if s.qualname}
-    # closure name -> captured set, per defining scope qualname
-    captures: dict[str, dict[str, set[str]]] = {}
-    for s in mod.scopes:
-        if not s.qualname or "." not in s.qualname:
-            continue
-        parent_qn = s.qualname.rsplit(".", 1)[0]
-        parent_bound = bound_by_qual.get(parent_qn)
-        if parent_bound is None:
-            continue  # a method: the enclosing "scope" is a class
-        captures.setdefault(parent_qn, {})[s.name] = _captured_names(
-            s.node, parent_bound
-        )
-
-    def call_context(node: ast.AST) -> ast.Call | None:
-        """The Call this node is an argument of (directly or via keyword)."""
-        parent = mod.parent(node)
-        if isinstance(parent, ast.keyword):
-            parent = mod.parent(parent)
-        if isinstance(parent, ast.Call) and node is not parent.func:
-            return parent
-        return None
-
-    for scope in mod.scopes:
-        if not scope.qualname:
-            continue
-        # closures visible here: defined in this scope or an ancestor
-        visible: dict[str, set[str]] = {}
-        qn = scope.qualname
-        chain = [qn]
-        while "." in qn:
-            qn = qn.rsplit(".", 1)[0]
-            chain.append(qn)
-        for anc in reversed(chain):
-            visible.update(captures.get(anc, {}))
-        scope_bound = bound_by_qual[scope.qualname]
-
-        for node in scope.walk():
-            if isinstance(node, ast.Lambda):
-                cap = _captured_names(node, scope_bound)
-                if not cap:
-                    continue
-                call = call_context(node)
-                if call is not None:
-                    t = terminal_name(call.func)
-                    if t in safe_calls:
-                        continue
-                    root = chain_root(call.func)
-                    if isinstance(root, ast.Name) and root.id == "self":
-                        continue
-                    yield rule.finding(
-                        mod,
-                        node,
-                        f"lambda capturing {{{', '.join(sorted(cap))}}} is "
-                        f"passed to '{t or '<expr>'}(...)' — captured driver "
-                        "state escapes the runtime seams "
-                        f"({'/'.join(sorted(model.RUNTIME_SEAM_CALLS))})",
-                        symbol=scope.qualname,
-                    )
-                continue
-            if not (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)):
-                continue
-            cap = visible.get(node.id)
-            if not cap:
-                continue
-            parent = mod.parent(node)
-            call = call_context(node)
-            if call is not None:
-                t = terminal_name(call.func)
-                if t in safe_calls:
-                    continue
-                root = chain_root(call.func)
-                if isinstance(root, ast.Name) and root.id == "self":
-                    continue
-                yield rule.finding(
-                    mod,
-                    node,
-                    f"closure '{node.id}' (captures "
-                    f"{{{', '.join(sorted(cap))}}}) is passed to "
-                    f"'{t or '<expr>'}(...)' — a stateful closure may only "
-                    "be handed to the runtime seams "
-                    f"({'/'.join(sorted(model.RUNTIME_SEAM_CALLS))}), "
-                    "order/aggregation builtins, or same-module helpers",
-                    symbol=scope.qualname,
-                )
-            elif isinstance(parent, ast.Return):
-                yield rule.finding(
-                    mod,
-                    node,
-                    f"closure '{node.id}' (captures "
-                    f"{{{', '.join(sorted(cap))}}}) is returned — the "
-                    "captured driver state outlives the call and leaves "
-                    "the plane API's sight",
-                    symbol=scope.qualname,
-                )
-            elif isinstance(parent, ast.Assign) and node is parent.value:
-                for tgt in parent.targets:
-                    if isinstance(tgt, (ast.Attribute, ast.Subscript)):
-                        yield rule.finding(
-                            mod,
-                            node,
-                            f"closure '{node.id}' (captures "
-                            f"{{{', '.join(sorted(cap))}}}) is stored into "
-                            "a structure — captured driver state escapes "
-                            "the defining scope",
-                            symbol=scope.qualname,
-                        )
-
-
-def _telemetry_receiver_hit(tgt: ast.AST) -> str | None:
-    """The telemetry/ledger receiver this store writes *through*, if any.
-
-    Binding the receiver itself (``self.tele = Telemetry()``) is not a
-    write through it; ``tele.counts[k] = v`` and ``tele.rounds += 1``
-    are.  ``obs.current().x = ...`` counts via the ``current()`` chain.
-    """
-    recv = model.TELEMETRY_RECEIVER_NAMES | model.LEDGER_RECEIVER_NAMES
-    node: ast.AST = tgt
-    outermost = True
-    while True:
-        if isinstance(node, ast.Attribute):
-            if node.attr in recv and not outermost:
-                return node.attr
-            outermost = False
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            outermost = False
-            node = node.value
-        elif isinstance(node, ast.Call):
-            if terminal_name(node.func) == "current":
-                return "current()"
-            outermost = False
-            node = node.func
-        elif isinstance(node, ast.Name):
-            if node.id in recv and not outermost:
-                return node.id
-            return None
-        else:
-            return None
-
-
-@register(
-    "RL602",
-    "telemetry-store-off-seam",
-    SEVERITY_ERROR,
-    "direct field store through a shared Telemetry/ledger object — "
-    "cross-process shared state under a real backend; writes must go "
-    "through the recording seams (note()/record()/observe())",
-)
-def _rl602(rule: Rule, mod: ModuleInfo) -> Iterator[Finding]:
-    if model.is_test_path(mod.relpath) or model.path_matches(
-        mod.relpath,
-        model.TELEMETRY_IMPL_PARTS
-        + model.RUNTIME_IMPL_PARTS
-        + ("repro/resilience/",),
-    ):
-        return
-    for scope in mod.scopes:
-        for node in scope.walk():
-            targets: list[ast.AST] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for tgt in targets:
-                if not isinstance(tgt, (ast.Attribute, ast.Subscript)):
-                    continue
-                hit = _telemetry_receiver_hit(tgt)
-                if hit is not None:
-                    yield rule.finding(
-                        mod,
-                        tgt,
-                        f"direct store through shared telemetry/ledger "
-                        f"receiver '{hit}' — under a multi-worker backend "
-                        "(ROADMAP item 2) this is cross-process shared "
-                        "state; record through the seams the runtime "
-                        "marshals (note()/record()/observe()) instead",
-                        symbol=scope.qualname or "<module>",
-                    )
-
-
-def _host_loop_iter(it: ast.AST) -> str | None:
-    """The host collection a For statement iterates, or None."""
-    if (
-        isinstance(it, ast.Call)
-        and terminal_name(it.func) == "enumerate"
-        and it.args
-    ):
-        it = it.args[0]
-    t = terminal_name(it)
-    return t if t in model.HOST_COLLECTION_NAMES else None
-
-
-@register(
-    "RL603",
-    "cross-host-subscript",
-    SEVERITY_ERROR,
-    "host collection subscripted with a non-loop index inside a loop "
-    "over hosts — reads another host's state without a barrier; only "
-    "works because today's backend shares one address space",
-)
-def _rl603(rule: Rule, mod: ModuleInfo) -> Iterator[Finding]:
-    if model.is_test_path(mod.relpath) or model.path_matches(
-        mod.relpath, model.CROSS_HOST_EXEMPT_PARTS
-    ):
-        return
-    if not model.path_matches(mod.relpath, model.STATE_MODULE_PARTS):
-        return
-
-    def scan(loop: ast.For, bound: set[str]) -> Iterator[tuple[ast.AST, str]]:
-        bound = bound | {
-            n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)
-        }
-
-        def rec(n: ast.AST) -> Iterator[tuple[ast.AST, str]]:
-            for child in ast.iter_child_nodes(n):
-                if isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
-                    continue
-                if isinstance(child, ast.For) and _host_loop_iter(child.iter):
-                    yield from scan(child, bound)
-                    continue
-                if isinstance(child, ast.Subscript):
-                    base = terminal_name(child.value)
-                    if (
-                        base in model.HOST_COLLECTION_NAMES
-                        and not isinstance(child.slice, ast.Slice)
-                        and not (
-                            isinstance(child.slice, ast.Name)
-                            and child.slice.id in bound
-                        )
-                    ):
-                        yield child, base
-                yield from rec(child)
-
-        yield from rec(loop)
-
-    for scope in mod.scopes:
-        for node in scope.walk():
-            if not (isinstance(node, ast.For) and _host_loop_iter(node.iter)):
-                continue
-            anc = mod.parent(node)
-            nested = False
-            while anc is not None and anc is not scope.node:
-                if isinstance(anc, ast.For) and _host_loop_iter(anc.iter):
-                    nested = True
-                    break
-                anc = mod.parent(anc)
-            if nested:
-                continue
-            for sub, base in scan(node, set()):
-                idx = (
-                    terminal_name(sub.slice)
-                    if isinstance(sub.slice, (ast.Name, ast.Attribute))
-                    else None
-                )
-                yield rule.finding(
-                    mod,
-                    sub,
-                    f"'{base}[{idx or '...'}]' indexed with a non-loop "
-                    "value inside a loop over hosts — a barrier-bypassing "
-                    "cross-host access; under the multiprocessing backend "
-                    "(ROADMAP item 2) another host's state is in another "
-                    "process, so route this through the MessagePlane",
-                    symbol=scope.qualname or "<module>",
-                )
-
-

@@ -1,38 +1,21 @@
 """Drive the rule registry over a file tree and render the report.
 
 The pipeline per file: read → parse (`RL900` on syntax errors) → run
-enabled module-scope rules → infer the effect summary → drop pragma-
-suppressed findings.  Per-file results are memoized in the incremental
-cache (:class:`LintCache`), keyed by source hash, the lint package's own
-source hash, and the enabled-rule set — so CI re-runs skip unchanged
-files entirely.
-
-The interprocedural layer then runs once per invocation: the cached (or
-fresh) effect summaries build the whole-program :class:`Program`, the
-``scope="program"`` rules (RL503/RL601) run over it, the RL404 findings
-are refined through the call graph, and the per-driver readiness report
-is derived — always from summaries, never re-parsing unchanged files.
-Program-scope findings are never cached: they depend on the whole
-program, not one file.
-
-The runner returns both the *active* findings (what fails the build) and
-the suppressed ones (so ``--format json`` can show the full picture and
-``--write-baseline`` can capture everything).
+enabled rules → drop pragma-suppressed findings → drop baseline-matched
+findings.  The runner returns both the *active* findings (what fails the
+build) and the suppressed ones (so ``--format json`` can show the full
+picture and ``--write-baseline`` can capture everything).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
-from repro.lint import dataflow
 from repro.lint import pragmas as pragmas_mod
 from repro.lint.baseline import Baseline
-from repro.lint.effects import ModuleEffects, infer_effects
 from repro.lint.findings import SEVERITY_ERROR, Finding, sort_findings
 from repro.lint.rules import RULES, ModuleInfo, run_rules
 
@@ -41,11 +24,6 @@ _SKIP_DIRS = {".git", "__pycache__", ".ruff_cache", ".pytest_cache", "build"}
 
 PARSE_ERROR_CODE = "RL900"
 
-#: Default cache location, relative to the project root.
-DEFAULT_CACHE_NAME = ".repro-lint-cache.json"
-
-_CACHE_VERSION = 1
-
 
 @dataclass
 class LintResult:
@@ -53,110 +31,10 @@ class LintResult:
     suppressed: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     stale_baseline: dict[str, dict[str, object]] = field(default_factory=dict)
-    #: Per-driver ready/blocked verdicts (repro.lint.dataflow).
-    readiness: dict = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: The whole-program model behind this run (for --effects / tests).
-    program: dataflow.Program | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
         return not self.active
-
-
-@lru_cache(maxsize=1)
-def lint_token() -> str:
-    """Hash of the lint package's own sources — a rule or model edit
-    invalidates every cache entry."""
-    h = hashlib.sha1()
-    pkg = Path(__file__).parent
-    for f in sorted(pkg.glob("*.py")):
-        h.update(f.name.encode("utf-8"))
-        h.update(f.read_bytes())
-    return h.hexdigest()[:16]
-
-
-class LintCache:
-    """Fingerprint-keyed per-file memo of findings + effect summaries."""
-
-    def __init__(self, path: Path, entries: dict | None = None) -> None:
-        self.path = path
-        self.entries: dict[str, dict] = dict(entries or {})
-        self.dirty = False
-
-    @classmethod
-    def load(cls, path: str | Path) -> "LintCache":
-        p = Path(path)
-        try:
-            data = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return cls(path=p)
-        if data.get("version") != _CACHE_VERSION:
-            return cls(path=p)
-        return cls(path=p, entries=data.get("files", {}))
-
-    def lookup(self, relpath: str, key: str) -> dict | None:
-        entry = self.entries.get(relpath)
-        if entry is not None and entry.get("key") == key:
-            return entry
-        return None
-
-    def store(
-        self,
-        relpath: str,
-        key: str,
-        active: list[Finding],
-        suppressed: list[Finding],
-        effects: ModuleEffects | None,
-    ) -> None:
-        self.entries[relpath] = {
-            "key": key,
-            "active": [_finding_to_cache(f) for f in active],
-            "suppressed": [_finding_to_cache(f) for f in suppressed],
-            "effects": effects.to_dict() if effects is not None else None,
-        }
-        self.dirty = True
-
-    def save(self) -> None:
-        if not self.dirty:
-            return
-        payload = {"version": _CACHE_VERSION, "files": self.entries}
-        try:
-            self.path.write_text(
-                json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
-            )
-        except OSError:
-            pass  # a read-only checkout just runs cold every time
-        self.dirty = False
-
-
-def _finding_to_cache(f: Finding) -> dict:
-    return {
-        "code": f.code,
-        "severity": f.severity,
-        "path": f.path,
-        "line": f.line,
-        "col": f.col,
-        "message": f.message,
-        "symbol": f.symbol,
-        "suppressed_by": f.suppressed_by,
-        "chain": f.chain,
-    }
-
-
-def _finding_from_cache(d: dict) -> Finding:
-    return Finding(
-        code=d["code"],
-        severity=d["severity"],
-        path=d["path"],
-        line=int(d["line"]),
-        col=int(d["col"]),
-        message=d["message"],
-        symbol=d.get("symbol", ""),
-        suppressed_by=d.get("suppressed_by", ""),
-        chain=d.get("chain", ""),
-    )
 
 
 def iter_python_files(targets: list[str | Path]) -> list[Path]:
@@ -182,33 +60,18 @@ def iter_python_files(targets: list[str | Path]) -> list[Path]:
     return uniq
 
 
-def _relpath_of(path: Path, project_root: Path) -> str:
-    try:
-        rel = str(path.resolve().relative_to(project_root.resolve()))
-    except ValueError:
-        rel = str(path)
-    return rel.replace("\\", "/")
-
-
 def lint_file(
     path: Path, project_root: Path, enabled: set[str] | None = None
 ) -> tuple[list[Finding], list[Finding]]:
-    """Lint one file (module-scope rules) → (active, pragma-suppressed)."""
-    active, suppressed, _effects = _analyze_source(
-        _relpath_of(path, project_root),
-        path.read_text(encoding="utf-8"),
-        str(path),
-        enabled,
-    )
-    return active, suppressed
-
-
-def _analyze_source(
-    relpath: str, source: str, filename: str, enabled: set[str] | None
-) -> tuple[list[Finding], list[Finding], ModuleEffects | None]:
-    """Module rules + pragma split + effect inference for one source."""
+    """Lint one file → (active, pragma-suppressed) findings."""
     try:
-        mod = ModuleInfo(path=filename, relpath=relpath, source=source)
+        relpath = str(path.resolve().relative_to(project_root.resolve()))
+    except ValueError:
+        relpath = str(path)
+    relpath = relpath.replace("\\", "/")
+    source = path.read_text(encoding="utf-8")
+    try:
+        mod = ModuleInfo(path=str(path), relpath=relpath, source=source)
     except SyntaxError as exc:
         return (
             [
@@ -222,7 +85,6 @@ def _analyze_source(
                 )
             ],
             [],
-            None,
         )
     findings = run_rules(mod, enabled=enabled)
     line_pragmas = pragmas_mod.parse_pragmas(source)
@@ -235,7 +97,7 @@ def _analyze_source(
             )
         else:
             active.append(f)
-    return active, suppressed, infer_effects(mod)
+    return active, suppressed
 
 
 def run_lint(
@@ -243,112 +105,25 @@ def run_lint(
     project_root: Path,
     enabled: set[str] | None = None,
     baseline: Baseline | None = None,
-    *,
-    cache: LintCache | None = None,
-    graph_targets: list[str | Path] | None = None,
 ) -> LintResult:
-    """Run the full pipeline: module rules over ``targets``, the
-    interprocedural pass over ``targets`` plus ``graph_targets``.
-
-    ``graph_targets`` extends the *analysis* scope (effect summaries and
-    call graph) without extending the *report* scope — the ``--changed``
-    mode lints only touched files while still resolving calls against
-    the whole program (from cache when warm).
-    """
     result = LintResult()
     if baseline is not None:
         baseline.reset()
-
-    report_files = iter_python_files(targets)
-    report_set = {f.resolve() for f in report_files}
-    all_files = list(report_files)
-    for f in iter_python_files(list(graph_targets or [])):
-        if f.resolve() not in report_set:
-            all_files.append(f)
-
-    token = lint_token()
-
-    effects_by_rel: dict[str, ModuleEffects] = {}
-    module_active: list[Finding] = []
-    module_suppressed: list[Finding] = []
-    pragmas_by_rel: dict[str, dict[int, frozenset[str]]] = {}
-    report_rels: set[str] = set()
-
-    for path in all_files:
-        relpath = _relpath_of(path, project_root)
-        source = path.read_text(encoding="utf-8")
-        reported = path.resolve() in report_set
-        if reported:
-            report_rels.add(relpath)
-            result.files_checked += 1
-            pragmas_by_rel[relpath] = pragmas_mod.parse_pragmas(source)
-
-        # Cache entries always hold the FULL rule set's results; the
-        # enabled filter is applied on the way out, so --select runs and
-        # full runs share the same entries.
-        sha = hashlib.sha1(source.encode("utf-8")).hexdigest()
-        key = f"{sha}:{token}"
-        entry = cache.lookup(relpath, key) if cache is not None else None
-        if entry is not None:
-            result.cache_hits += 1
-            active = [_finding_from_cache(d) for d in entry["active"]]
-            suppressed = [_finding_from_cache(d) for d in entry["suppressed"]]
-            effects = (
-                ModuleEffects.from_dict(entry["effects"])
-                if entry.get("effects") is not None
-                else None
-            )
-        else:
-            result.cache_misses += 1
-            active, suppressed, effects = _analyze_source(
-                relpath, source, str(path), None
-            )
-            if cache is not None:
-                cache.store(relpath, key, active, suppressed, effects)
-        if enabled is not None:
-            active = [f for f in active if f.code in enabled]
-            suppressed = [f for f in suppressed if f.code in enabled]
-        if effects is not None:
-            effects_by_rel[relpath] = effects
-        if reported:
-            module_active.extend(active)
-            module_suppressed.extend(suppressed)
-
-    # -- interprocedural pass (always from summaries, never cached) ------------
-    program = dataflow.Program.build(effects_by_rel)
-    result.program = program
-    prog_findings = [
-        f
-        for f in dataflow.run_program_rules(program, enabled=enabled)
-        if f.path in report_rels
-    ]
-    for f in prog_findings:
-        p = pragmas_by_rel.get(f.path, {})
-        if pragmas_mod.is_suppressed(p, f.line, f.code):
-            module_suppressed.append(
-                Finding(**{**f.__dict__, "suppressed_by": "pragma"})
-            )
-        else:
-            module_active.append(f)
-
-    module_active = dataflow.refine_findings(program, module_active)
-    module_suppressed = dataflow.refine_findings(program, module_suppressed)
-
-    result.suppressed.extend(module_suppressed)
-    for f in sort_findings(module_active):
-        if baseline is not None and baseline.matches(f):
-            result.suppressed.append(
-                Finding(**{**f.__dict__, "suppressed_by": "baseline"})
-            )
-        else:
-            result.active.append(f)
+    for path in iter_python_files(targets):
+        active, suppressed = lint_file(path, project_root, enabled=enabled)
+        result.files_checked += 1
+        result.suppressed.extend(suppressed)
+        for f in sort_findings(active):
+            if baseline is not None and baseline.matches(f):
+                result.suppressed.append(
+                    Finding(**{**f.__dict__, "suppressed_by": "baseline"})
+                )
+            else:
+                result.active.append(f)
     result.active = sort_findings(result.active)
     result.suppressed = sort_findings(result.suppressed)
     if baseline is not None:
         result.stale_baseline = baseline.stale_entries()
-    result.readiness = dataflow.readiness_report(program, result.active)
-    if cache is not None:
-        cache.save()
     return result
 
 
@@ -365,17 +140,10 @@ def render_text(result: LintResult, stream=None) -> None:
         )
     n_err = sum(1 for f in result.active if f.severity == SEVERITY_ERROR)
     n_warn = len(result.active) - n_err
-    cache_note = ""
-    if result.cache_hits or result.cache_misses:
-        cache_note = (
-            f", cache {result.cache_hits} hit(s)/"
-            f"{result.cache_misses} miss(es)"
-        )
     print(
         f"repro-lint: {result.files_checked} files, "
         f"{n_err} error(s), {n_warn} warning(s), "
         f"{len(result.suppressed)} suppressed"
-        + cache_note
         + (" -- PASS" if result.ok else " -- FAIL"),
         file=stream,
     )
@@ -393,13 +161,11 @@ def render_json(result: LintResult, stream=None) -> None:
     payload = {
         "pass": result.ok,
         "files_checked": result.files_checked,
-        "cache": {"hits": result.cache_hits, "misses": result.cache_misses},
         "rules": {
             code: {
                 "name": rule.name,
                 "severity": rule.severity,
                 "summary": rule.summary,
-                "scope": rule.scope,
             }
             for code, rule in sorted(RULES.items())
         },
@@ -409,7 +175,6 @@ def render_json(result: LintResult, stream=None) -> None:
             for f in result.suppressed
         ],
         "stale_baseline": result.stale_baseline,
-        "readiness": result.readiness,
     }
     json.dump(payload, stream, indent=2)
     stream.write("\n")

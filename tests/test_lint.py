@@ -8,6 +8,8 @@ Structure:
 - pragma and baseline suppression, including the acceptance-criterion
   flips: removing a pragma / baseline entry turns the CLI exit non-zero
   (``TestSuppression``, ``TestCLI``);
+- the ``--write-baseline`` prune report, which names each dropped entry
+  as a rename or a retired rule (``TestBaselinePrune``);
 - the dogfooding meta-test: ``repro lint src tests`` is clean against
   the committed baseline (``TestDogfood``);
 - the cross-check: a schedule-violating MRBC master state is flagged
@@ -26,6 +28,7 @@ import pytest
 import repro.core.mrbc as mrbc_mod
 from repro.graph import generators as gen
 from repro.lint import RULES, Baseline, ModuleInfo, lint_main, run_rules
+from repro.lint.findings import Finding
 from repro.lint.runner import lint_file, run_lint
 from repro.resilience import ResilienceContext
 from repro.resilience.errors import InvariantViolation
@@ -520,224 +523,6 @@ class TestRuleFixtures:
         assert "RL405" not in codes(src, relpath="src/repro/obs/rounds.py")
         assert "RL405" not in codes(src, relpath="tests/test_whatever.py")
 
-    # -- RL501: aliased state containers escaping the plane --------------------
-
-    def test_rl501_flags_alias_stored_and_passed_out(self):
-        src = """
-            class Engine:
-                def leak(self, gid, sink):
-                    ms = self.masters.get(gid)
-                    sink.keep = ms
-                    external.stash(ms)
-        """
-        found = findings_for(src, relpath="src/repro/core/mod.py")
-        assert sum(1 for f in found if f.code == "RL501") == 2
-
-    def test_rl501_passes_plane_internal_idioms(self):
-        src = """
-            class Engine:
-                def ok(self, gid, lid):
-                    ms = self.masters.get(gid)
-                    self.masters[gid] = ms
-                    st = self.hosts[0]
-                    lst = st.local_lists[lid]
-                    bisect.insort(lst, (1, 2))
-                    self._touch(st)
-                    return sorted(ms.entries)
-        """
-        assert "RL501" not in codes(src, relpath="src/repro/core/mod.py")
-
-    def test_rl501_only_polices_state_modules(self):
-        src = """
-            def elsewhere(plane, out):
-                st = plane.hosts[0]
-                out.keep = st
-        """
-        assert "RL501" not in codes(src, relpath="src/repro/analysis/mod.py")
-
-    # -- RL502: stateful closures escaping the runtime seams -------------------
-
-    def test_rl502_flags_closure_passed_off_seam(self):
-        src = """
-            import threading
-
-            def some_engine(pg, runtime, resilience=None):
-                fired = []
-
-                def step(rnd):
-                    fired.append(rnd)
-                    return False
-
-                threading.Thread(target=step).start()
-        """
-        assert "RL502" in codes(src, relpath="src/repro/engine/mod.py")
-
-    def test_rl502_passes_seam_and_same_module_consumers(self):
-        src = """
-            def _helper(live, body):
-                return body() if live() else None
-
-            def some_engine(pg, runtime, resilience=None):
-                state = {"fires": 0}
-
-                def live():
-                    return state["fires"] < 3
-
-                def step(rnd):
-                    state["fires"] += 1
-                    return live()
-
-                runtime.run_loop("fwd", step, precheck=live)
-                _helper(live, step)
-                return sorted(pg.parts, key=lambda p: p.host)
-        """
-        assert "RL502" not in codes(src, relpath="src/repro/engine/mod.py")
-
-    def test_rl502_flags_capturing_lambda_off_seam(self):
-        src = """
-            def some_engine(pg, registry, resilience=None):
-                batch = [1, 2, 3]
-                registry.defer(lambda: len(batch))
-        """
-        assert "RL502" in codes(src, relpath="src/repro/engine/mod.py")
-
-    # -- RL503 (program scope): off-seam state writers -------------------------
-
-    def test_rl503_flags_writer_unreachable_from_any_seam(self):
-        from repro.lint.dataflow import analyze_sources
-
-        src = dedent(
-            """
-            def orphan(st, v):
-                st.cand_dist[0] = v
-
-            def some_engine(pg, resilience=None):
-                return pg
-            """
-        )
-        found, _ = analyze_sources({"src/repro/core/mod.py": src})
-        assert any(
-            f.code == "RL503" and f.symbol == "orphan" for f in found
-        )
-
-    def test_rl503_passes_writer_reachable_from_driver(self):
-        from repro.lint.dataflow import analyze_sources
-
-        src = dedent(
-            """
-            def deliver(st, v):
-                st.cand_dist[0] = v
-
-            def some_engine(pg, resilience=None):
-                deliver(pg.hosts[0], 1)
-            """
-        )
-        found, _ = analyze_sources({"src/repro/core/mod.py": src})
-        assert not any(f.code == "RL503" for f in found)
-
-    # -- RL601 (program scope): module globals mutated in the round cone -------
-
-    def test_rl601_flags_global_mutation_reached_from_step(self):
-        from repro.lint.dataflow import analyze_sources
-
-        src = dedent(
-            """
-            _CACHE = {}
-
-            def step(rnd):
-                helper()
-                return False
-
-            def helper():
-                _CACHE["k"] = 1
-
-            def some_engine(runtime, resilience=None):
-                runtime.run_loop("fwd", step)
-            """
-        )
-        found, _ = analyze_sources({"src/repro/core/mod.py": src})
-        hits = [f for f in found if f.code == "RL601"]
-        assert any(f.symbol == "helper" and "step" in f.chain for f in hits)
-
-    def test_rl601_passes_global_mutation_outside_round_cone(self):
-        from repro.lint.dataflow import analyze_sources
-
-        src = dedent(
-            """
-            _REGISTRY = {}
-
-            def register_algo(name, fn):
-                _REGISTRY[name] = fn
-
-            def step(rnd):
-                return False
-
-            def some_engine(runtime, resilience=None):
-                runtime.run_loop("fwd", step)
-            """
-        )
-        found, _ = analyze_sources({"src/repro/core/mod.py": src})
-        assert not any(f.code == "RL601" for f in found)
-
-    # -- RL602: telemetry/ledger field stores off the recording seams ----------
-
-    def test_rl602_flags_direct_store_through_telemetry(self):
-        src = """
-            def report(tele, n):
-                tele.counters["rounds"] = n
-        """
-        assert "RL602" in codes(src, relpath="src/repro/core/mod.py")
-
-    def test_rl602_passes_seam_calls_and_receiver_binding(self):
-        src = """
-            class Engine:
-                def __init__(self, tele):
-                    self.tele = tele
-
-                def report(self, rledger, n):
-                    rledger.note(frontier=n)
-                    self.tele.metrics.observe("x", n)
-        """
-        assert "RL602" not in codes(src, relpath="src/repro/core/mod.py")
-
-    def test_rl602_exempts_obs_implementation(self):
-        src = """
-            def flush(tele):
-                tele.buffer = []
-        """
-        assert "RL602" not in codes(src, relpath="src/repro/obs/telemetry.py")
-
-    # -- RL603: cross-host subscripts inside host loops ------------------------
-
-    def test_rl603_flags_foreign_host_index(self):
-        src = """
-            class Plane:
-                def mix(self):
-                    for h, st in enumerate(self.hosts):
-                        other = self.hosts[0]
-        """
-        assert "RL603" in codes(src, relpath="src/repro/core/mod.py")
-
-    def test_rl603_passes_own_index_and_non_host_loops(self):
-        src = """
-            class Plane:
-                def ok(self, pg, deliveries):
-                    for h, st in enumerate(self.hosts):
-                        part = pg.parts[h]
-                    for h, items in enumerate(deliveries):
-                        st = self.hosts[h]
-        """
-        assert "RL603" not in codes(src, relpath="src/repro/core/mod.py")
-
-    def test_rl603_exempts_communication_layer(self):
-        src = """
-            class Substrate:
-                def exchange(self):
-                    for h, st in enumerate(self.hosts):
-                        peer = self.hosts[(h + 1) % 2]
-        """
-        assert "RL603" not in codes(src, relpath="src/repro/engine/gluon.py")
-
     # -- RL900: parse errors ---------------------------------------------------
 
     def test_rl900_on_syntax_error(self, tmp_path):
@@ -927,11 +712,96 @@ class TestCLI:
         for code in RULES:
             assert code in out
 
+    def test_list_rules_is_exactly_the_per_file_registry(self, capsys):
+        assert lint_main(["--list-rules"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == [
+            "RL101", "RL102", "RL103",
+            "RL201", "RL202", "RL203", "RL204",
+            "RL301",
+            "RL401", "RL402", "RL403", "RL404", "RL405",
+            "RL900",
+        ]
+
     def test_main_cli_dispatches_lint(self, capsys):
         from repro.cli import main
 
         assert main(["lint", "--list-rules"]) == 0
         assert "RL101" in capsys.readouterr().out
+
+
+# -- --write-baseline prune report ---------------------------------------------
+
+
+def make_project(root: Path) -> Path:
+    (root / "pyproject.toml").write_text(
+        '[tool.repro-lint]\nbaseline = "lint-baseline.json"\n',
+        encoding="utf-8",
+    )
+    pkg = root / "src" / "repro" / "core"
+    pkg.mkdir(parents=True)
+    (root / "src" / "repro" / "__init__.py").write_text("", encoding="utf-8")
+    (pkg / "__init__.py").write_text("", encoding="utf-8")
+    (pkg / "clean.py").write_text(
+        dedent(
+            """
+            def tidy(x):
+                return x + 1
+            """
+        ),
+        encoding="utf-8",
+    )
+    (pkg / "dirty.py").write_text(
+        dedent(
+            """
+            import time
+
+            def stamp():
+                return time.time()
+            """
+        ),
+        encoding="utf-8",
+    )
+    return root
+
+
+class TestBaselinePrune:
+    def test_prune_reports_renames_and_retired_rules(self, tmp_path, monkeypatch, capsys):
+        root = make_project(tmp_path)
+        monkeypatch.chdir(root)
+
+        stale_rename = Finding(
+            code="RL103",
+            severity="error",
+            path="src/repro/core/old_name.py",
+            line=3,
+            col=5,
+            message="time.time() reads the wall clock",
+            symbol="stamp",
+        )
+        retired = Finding(
+            code="RL999",
+            severity="error",
+            path="src/repro/core/dirty.py",
+            line=1,
+            col=1,
+            message="some finding of a rule that no longer exists",
+            symbol="stamp",
+        )
+        old = Baseline.from_findings([stale_rename, retired])
+        old.dump(root / "lint-baseline.json")
+
+        assert lint_main(["src", "--write-baseline"]) == 0
+        out = capsys.readouterr().out
+        assert "pruned 2 stale baseline entr" in out
+        assert "rule retired" in out and "RL999" in out
+        assert "finding fixed or renamed" in out and "old_name.py" in out
+
+        new = Baseline.load(root / "lint-baseline.json")
+        assert all(e["code"] == "RL103" for e in new.entries.values())
+        assert not any(
+            "old_name.py" in str(e["where"]) for e in new.entries.values()
+        )
 
 
 class TestDogfood:

@@ -11,10 +11,11 @@ import pytest
 
 from repro import obs
 from repro.analysis.commcheck import run_case_checks
-from repro.baselines.brandes import brandes_bc
+from repro.baselines.brandes import brandes_bc, brandes_sssp
 from repro.baselines.sbbc import sbbc_engine
 from repro.cli import main as cli_main
 from repro.core.mrbc import mrbc_engine
+from repro.graph.builders import from_edge_array
 from repro.graph.io import write_edge_list
 from repro.obs.comm import PLANE_GLUON, CommLedger
 from repro.obs.rounds import RoundLedger
@@ -133,6 +134,43 @@ class TestExecute:
         g, sources = spec.load()
         with pytest.raises(ValueError, match="unknown algorithm"):
             execute(spec, g, sources)
+
+
+def _repeated_edge_graph():
+    g = from_edge_array(3, [0, 0, 1, 1, 2], [1, 1, 2, 0, 0])
+    assert g.num_edges == 4  # the repeated 0 -> 1 edge is merged
+    return g
+
+
+#: Degenerate inputs the engines handle as they are (no rejection):
+#: (graph factory, hosts, batch).
+DEGENERATE = {
+    "repeated-edge": (_repeated_edge_graph, 2, 2),
+    "8-hosts-on-3-vertices": (
+        lambda: from_edge_array(3, [0, 1, 1, 2], [1, 0, 2, 1]), 8, 2
+    ),
+    "single-vertex": (lambda: from_edge_array(1, [], []), 4, 8),
+    "4-vertices-no-edges": (lambda: from_edge_array(4, [], []), 4, 3),
+}
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("case", sorted(DEGENERATE))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_matches_brandes(self, algorithm, case):
+        make_graph, hosts, batch = DEGENERATE[case]
+        g = make_graph()
+        sources = np.arange(g.num_vertices, dtype=np.int64)
+        spec = RunSpec(case, algorithm, "unused", hosts=hosts, batch=batch)
+        res = execute(spec, g, sources)
+        np.testing.assert_allclose(
+            res.bc, brandes_bc(g, sources=sources), rtol=1e-9, atol=0
+        )
+        if algorithm in ("mrbc", "sbbc"):
+            for i, s in enumerate(sources.tolist()):
+                dist, sigma, _preds, _order = brandes_sssp(g, s)
+                assert np.array_equal(res.dist[i], dist)
+                assert np.array_equal(res.sigma[i], sigma)
 
 
 class TestBatchedCongestEverywhere:

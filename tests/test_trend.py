@@ -5,6 +5,7 @@ ordering, step classification, heterogeneous-suite grouping, CLI.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from repro.analysis import trend as trend_mod
 from repro.analysis.trend import build_trend, order_snapshots, render_trend
@@ -149,6 +150,37 @@ class TestClassification:
         assert lax.cases["c"][1].step == "steady"
         strict = build_trend(paths, root=str(tmp_path), wall_threshold=1.0)
         assert strict.cases["c"][1].step == "regression"
+
+
+class TestTierContinuity:
+    """``BENCH_b05e6a269e54.json`` ran each DEFAULT case on the dict tier
+    and its columnar twin as ``<case>@array``; every later snapshot runs
+    the columnar tier under the bare name."""
+
+    TWO_TIER = Path(__file__).resolve().parent.parent / "BENCH_b05e6a269e54.json"
+
+    def test_fresh_default_snapshot_continues_from_the_array_twins(
+        self, tmp_path
+    ):
+        doc = json.loads(self.TWO_TIER.read_text(encoding="utf-8"))
+        twins = {
+            c["name"].removesuffix("@array"): c
+            for c in doc["cases"]
+            if c["name"].endswith("@array")
+        }
+        assert len(twins) == 9
+        # Today's code re-measured with the same numbers as the twins.
+        later = write_snap(
+            tmp_path, "BENCH_later.json", doc["created_unix"] + 1,
+            [dict(c, name=name) for name, c in twins.items()],
+            env=doc["environment"], suite="default",
+        )
+        report = build_trend([str(self.TWO_TIER), later], root=str(tmp_path))
+        for name in twins:
+            pts = report.cases[name]
+            assert [pt.step for pt in pts] == ["first", "steady"], name
+            assert pts[0].wall_median_s == twins[name]["wall_s"]["median"]
+        assert set(report.cases) == set(twins)  # no "@array" series left
 
 
 class TestTrendCLI:
