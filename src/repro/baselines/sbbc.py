@@ -35,7 +35,7 @@ from repro.engine.partition import PartitionedGraph
 from repro.core.sampling import resolve_sources
 from repro.engine.stats import EngineRun
 from repro.graph.digraph import DiGraph
-from repro.runtime.arrays import ColumnBlock, HostArena, expand_csr
+from repro.runtime.arrays import BIG, Exchange, HostArena, expand_csr
 from repro.runtime.plane import GluonArrayPlane, resolve_partition
 from repro.runtime.superstep import SuperstepRuntime
 
@@ -84,13 +84,13 @@ class _ArraySourceExecutor:
     Per-source state lives in a shared
     :class:`~repro.runtime.arrays.HostArena` (``k=1`` — one column) reset
     between sources, masters keep dense settled arrays, and every step is
-    an arena-wide sweep.
+    an arena-wide sweep over the round's events.
 
     The float results are fixed by SBBC's level synchrony: all
     deliveries in a round carry the same BFS level, so every candidate
     cell sees one assignment followed by additions in item order (host
-    ascending, then block position) — ``np.add.at`` in that order, with
-    no per-cell replay.  The goldens in
+    ascending, then position in the host's part) — ``np.add.at`` in that
+    order, with no per-cell replay.  The goldens in
     ``tests/test_plane_equivalence.py`` pin the resulting bytes.
     """
 
@@ -113,19 +113,54 @@ class _ArraySourceExecutor:
         # Master-side settled state, dense over all vertices.
         self.settled_d = np.full(self.n, INF, dtype=np.int64)
         self.settled_sg = np.zeros(self.n, dtype=np.float64)
+        #: Scratch for the inbox merge: the first inbox position of each
+        #: vertex this round (BIG = none); reset after each merge.
+        self._first = np.full(self.n, BIG, dtype=np.int64)
         #: Settle order per round: the backward walk fires each level's
         #: vertices in the order they settled.
         self._order: list[np.ndarray] = []
         self.delta = np.zeros(self.n, dtype=np.float64)
+
+    def _settle_inbox(self, inbox: Exchange, rs) -> np.ndarray:
+        """Settle the vertices whose first candidates this round's inbox
+        carries; returns them in first-occurrence order.
+
+        σ sums a vertex's contributions in inbox order, straight into
+        ``settled_sg`` (still 0.0 for an unsettled vertex), which is the
+        order and start value of a per-vertex ``np.add.at``.
+        """
+        for h, c in enumerate(inbox.counts().tolist()):
+            if c:
+                rs.compute[h].struct_ops += c
+        gi = inbox.gids
+        _snd, d, sg = inbox.cols
+        fresh = self.settled_d.take(gi) == INF
+        assert (
+            d[~fresh] > self.settled_d[gi[~fresh]]
+        ).all(), "late same-level contribution"
+        gi, d, sg = gi[fresh], d[fresh], sg[fresh]
+        if gi.size == 0:
+            return gi
+        pos = np.arange(gi.size, dtype=np.int64)
+        np.minimum.at(self._first, gi, pos)
+        first = self._first.take(gi)
+        self._first[gi] = BIG
+        assert (d == d.take(first)).all(), "level-synchrony violated"
+        lead = np.nonzero(first == pos)[0]
+        new_g = gi.take(lead)
+        np.add.at(self.settled_sg, gi, sg)
+        self.settled_d[new_g] = d.take(lead)
+        return new_g
 
     def run_forward(self, runtime: "SuperstepRuntime | None" = None) -> int:
         if runtime is None:
             runtime = SuperstepRuntime(run=self.run)
         pg, gluon = self.pg, self.gluon
         A = self.arena
-        H = self.H
+        H, n = self.H, self.n
+        lut = A.lut.reshape(-1)
         rledger = obs.current().rounds
-        pending: list = [None] * H
+        pending = Exchange.empty(H)
         # View construction only — every value read happens inside the
         # step closure, after that round's broadcast delivered.
         fd = A.fin_dist[:, 0]  # repro-lint: disable=RL301
@@ -135,155 +170,84 @@ class _ArraySourceExecutor:
         dirty = A.dirty[:, 0]
         fpos = A.fpos[:, 0]
         # Round 1 settles the source itself.
-        newly = (
-            np.array([self.source], dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-            np.ones(1, dtype=np.float64),
-        )
-        empty = (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
+        self.settled_d[self.source] = 0
+        self.settled_sg[self.source] = 1.0
+        newly = np.array([self.source], dtype=np.int64)
 
         def step(rnd: int, rs) -> bool:
             nonlocal pending, newly
             inbox = gluon.reduce_to_masters(pending, FWD_PAYLOAD_BYTES, 1, rs)
-            pending = [None] * H
-            got = [
-                (h, blk) for h, blk in enumerate(inbox)
-                if blk is not None and len(blk)
-            ]
-            if got:
-                for h, blk in got:
-                    rs.compute[h].struct_ops += len(blk)
-                gi = np.concatenate([blk.gids for _h, blk in got])
-                d = np.concatenate(
-                    [blk.cols[1] for _h, blk in got]
-                ).astype(np.int64, copy=False)
-                sg = np.concatenate(
-                    [blk.cols[2] for _h, blk in got]
-                ).astype(np.float64, copy=False)
-                fresh = self.settled_d[gi] == INF
-                assert (
-                    d[~fresh] > self.settled_d[gi[~fresh]]
-                ).all(), "late same-level contribution"
-                gi, d, sg = gi[fresh], d[fresh], sg[fresh]
-                if gi.size:
-                    # Merge same-gid contributions in first-occurrence
-                    # order; σ sums accumulate in item order.
-                    ug, first, inv = np.unique(
-                        gi, return_index=True, return_inverse=True
-                    )
-                    assert (d == d[first][inv]).all(), "level-synchrony violated"
-                    acc = np.zeros(ug.size, dtype=np.float64)
-                    np.add.at(acc, inv, sg)
-                    ordp = np.argsort(first, kind="stable")
-                    newly = (ug[ordp], d[first][ordp], acc[ordp])
+            if len(inbox):
+                newly = self._settle_inbox(inbox, rs)
 
-            new_g, new_d, new_sg = newly
-            blocks: list = [None] * H
-            level = int(new_g.size)
+            blocks = Exchange.empty(H)
+            level = int(newly.size)
             if level:
-                self.settled_d[new_g] = new_d
-                self.settled_sg[new_g] = new_sg
-                self._order.append(new_g)
-                hosts_f = pg.master_of[new_g]
-                for h, c in enumerate(np.bincount(hosts_f, minlength=H)):
-                    if c:
-                        rs.compute[h].vertex_ops += int(c)
+                self._order.append(newly)
                 blocks = GluonArrayPlane._split_by_dest(
-                    new_g, hosts_f, [new_d, new_sg], H
+                    newly, pg.master_of.take(newly),
+                    (self.settled_d.take(newly), self.settled_sg.take(newly)), H,
                 )
+                for h, c in enumerate(blocks.counts().tolist()):
+                    if c:
+                        rs.compute[h].vertex_ops += c
             if rledger is not None:
                 # Level-synchronous settling: this round's frontier is
                 # exactly the BFS level that settles in it.
                 rledger.note(frontier=level, settled=level, active_sources=1)
-            newly = empty
+            newly = newly[:0]
 
             deliveries = gluon.broadcast_from_masters(
                 blocks, TARGET_ALL_PROXIES, FWD_PAYLOAD_BYTES, 1, rs
             )
-
-            present = [
-                (h, blk) for h, blk in enumerate(deliveries)
-                if blk is not None and len(blk)
-            ]
-            if present:
-                lens = np.array([len(blk) for _h, blk in present], dtype=np.int64)
-                hs = np.repeat(
-                    np.array([h for h, _blk in present], dtype=np.int64), lens
-                )
-                gidv = np.concatenate([blk.gids for _h, blk in present])
-                dv = np.concatenate(
-                    [blk.cols[0] for _h, blk in present]
-                ).astype(np.int64, copy=False)
-                sgv = np.concatenate(
-                    [blk.cols[1] for _h, blk in present]
-                ).astype(np.float64, copy=False)
-                m = int(gidv.size)
-                lid = A.lut[hs, gidv]
+            if len(deliveries):
+                gidv = deliveries.gids
+                dv, sgv = deliveries.cols
+                lid = lut.take(deliveries.hosts() * n + gidv)
                 fd[lid] = dv
                 fsg[lid] = sgv
-                fpos[lid] = np.arange(m, dtype=np.int64)
-                for (h, _blk), cnt in zip(present, lens.tolist()):
-                    rs.compute[h].vertex_ops += cnt
+                fpos[lid] = np.arange(gidv.size, dtype=np.int64)
+                for h, cnt in enumerate(deliveries.counts().tolist()):
+                    if cnt:
+                        rs.compute[h].vertex_ops += cnt
                 deg = A.out_offsets[lid + 1] - A.out_offsets[lid]
-                block_starts = np.zeros(lens.size, dtype=np.int64)
-                np.cumsum(lens[:-1], out=block_starts[1:])
-                for (h, _blk), e in zip(
-                    present, np.add.reduceat(deg, block_starts).tolist()
-                ):
+                for h, e in enumerate(deliveries.host_sums(deg).tolist()):
                     if e:
-                        rs.compute[h].edge_ops += int(e)
+                        rs.compute[h].edge_ops += e
                 item_of, w = expand_csr(A.out_offsets, A.out_targets, lid)
-                if w.size:
-                    # Open ⟺ not settled in an earlier round and not
-                    # finalized by an earlier item of this round.
-                    open_ = (fd[w] == INF) | (fpos[w] > item_of)
-                    sel = np.nonzero(open_)[0]
-                    if sel.size:
-                        wt = w[sel]
-                        nd = dv[item_of[sel]] + 1
-                        sv = sgv[item_of[sel]]
-                        cdv = cd[wt]
-                        # One shared level per round: the first event into
-                        # an improved cell assigns, the rest add — a
-                        # zeroed ordered sum, and every open event with
-                        # nd <= old candidate counts one struct op.
-                        bet = nd < cdv
-                        upd = bet | (nd == cdv)
-                        if bet.any():
-                            bw = wt[bet]
-                            cd[bw] = nd[bet]
-                            csg[bw] = 0.0
-                        if upd.any():
-                            uw = wt[upd]
-                            np.add.at(csg, uw, sv[upd])
-                            dirty[uw] = True
-                            for h, c in enumerate(
-                                np.bincount(
-                                    hs[item_of[sel[upd]]], minlength=H
-                                )
-                            ):
-                                if c:
-                                    rs.compute[h].struct_ops += int(c)
+                # A relaxation worse than its cell's pre-sweep candidate
+                # is a no-op in any order (a candidate only improves
+                # within a sweep): drop it before the open test.
+                nd = dv.take(item_of) + 1
+                cdv = cd.take(w)
+                r = np.nonzero(nd <= cdv)[0]
+                w, nd, cdv, item_of = w[r], nd[r], cdv[r], item_of[r]
+                # Open ⟺ not settled in an earlier round and not
+                # finalized by an earlier item of this round.
+                r = np.nonzero((fd.take(w) == INF) | (fpos.take(w) > item_of))[0]
                 fpos[lid] = -1
+                if r.size:
+                    # The first event into an improved cell assigns, the
+                    # rest add — a zeroed ordered sum — and every open
+                    # event counts one struct op.
+                    w, nd, item_of = w[r], nd[r], item_of[r]
+                    bet = nd < cdv[r]
+                    bw = w[bet]
+                    cd[bw] = nd[bet]
+                    csg[bw] = 0.0
+                    np.add.at(csg, w, sgv.take(item_of))
+                    dirty[w] = True
+                    for h, c in enumerate(
+                        deliveries.count_by_host(item_of).tolist()
+                    ):
+                        if c:
+                            rs.compute[h].struct_ops += c
 
-            pending = [None] * H
             rows = np.nonzero(dirty)[0]
             if rows.size == 0:
+                pending = Exchange.empty(H)
                 return False
-            d_sel = cd[rows]
-            sg_sel = csg[rows]
-            g_sel = A.gids[rows]
-            bounds = np.searchsorted(rows, A.off)
-            for h in range(H):
-                a, b = int(bounds[h]), int(bounds[h + 1])
-                if b > a:
-                    pending[h] = ColumnBlock.raw(
-                        g_sel[a:b], (d_sel[a:b], sg_sel[a:b])
-                    )
+            pending = A.exchange(rows, (cd[rows], csg[rows]))
             dirty[rows] = False
             return True
 
@@ -294,15 +258,20 @@ class _ArraySourceExecutor:
             runtime = SuperstepRuntime(run=self.run)
         pg, gluon = self.pg, self.gluon
         A = self.arena
-        H = self.H
+        H, n = self.H, self.n
+        lut = A.lut.reshape(-1)
         so = (
             np.concatenate(self._order)
             if self._order
             else np.empty(0, dtype=np.int64)
         )
         so = so[so != self.source]
-        lv = self.settled_d[so]
-        max_level = int(lv.max()) if lv.size else 0
+        # One bucket per level, sorted once: a stable sort keeps each
+        # level's settle order, and a round's fires are one slice.
+        lv = self.settled_d.take(so)
+        by_level = np.argsort(lv, kind="stable")
+        so, lv = so.take(by_level), lv.take(by_level)
+        max_level = int(lv[-1]) if lv.size else 0
         self.delta[:] = 0.0
         # View construction only — every value read happens inside the
         # step closure, on state the forward phase already finalized.
@@ -311,37 +280,31 @@ class _ArraySourceExecutor:
         pdel = A.partial_delta[:, 0]
         ddirty = A.delta_dirty[:, 0]
         rledger = obs.current().rounds
-        pending: list = [None] * H
+        pending = Exchange.empty(H)
 
         def step(rnd: int, rs) -> bool:
             nonlocal pending
             inbox = gluon.reduce_to_masters(pending, BWD_PAYLOAD_BYTES, 1, rs)
-            got = [
-                (h, blk) for h, blk in enumerate(inbox)
-                if blk is not None and len(blk)
-            ]
-            if got:
-                for h, blk in got:
-                    rs.compute[h].struct_ops += len(blk)
-                gi = np.concatenate([blk.gids for _h, blk in got])
-                pd = np.concatenate(
-                    [blk.cols[1] for _h, blk in got]
-                ).astype(np.float64, copy=False)
+            if len(inbox):
+                for h, c in enumerate(inbox.counts().tolist()):
+                    if c:
+                        rs.compute[h].struct_ops += c
                 # Accumulation in inbox order (host asc, item order within).
-                np.add.at(self.delta, gi, pd)
+                np.add.at(self.delta, inbox.gids, inbox.cols[1])
 
             level = max_level - rnd + 1
-            fires_g = so[lv == level]
-            blocks: list = [None] * H
+            lo, hi = np.searchsorted(lv, (level, level + 1))
+            fires_g = so[lo:hi]
+            blocks = Exchange.empty(H)
             if fires_g.size:
-                coeff = (1.0 + self.delta[fires_g]) / self.settled_sg[fires_g]
-                hosts_f = pg.master_of[fires_g]
-                for h, c in enumerate(np.bincount(hosts_f, minlength=H)):
-                    if c:
-                        rs.compute[h].vertex_ops += int(c)
+                coeff = (1.0 + self.delta.take(fires_g)) / self.settled_sg.take(fires_g)
                 blocks = GluonArrayPlane._split_by_dest(
-                    fires_g, hosts_f, [coeff, self.settled_d[fires_g]], H
+                    fires_g, pg.master_of.take(fires_g),
+                    (coeff, self.settled_d.take(fires_g)), H,
                 )
+                for h, c in enumerate(blocks.counts().tolist()):
+                    if c:
+                        rs.compute[h].vertex_ops += c
             if rledger is not None:
                 # The reverse walk fires level max_level - rnd + 1 whole:
                 # each settled vertex's dependency finalizes exactly once.
@@ -352,58 +315,35 @@ class _ArraySourceExecutor:
             deliveries = gluon.broadcast_from_masters(
                 blocks, TARGET_IN_EDGES, BWD_PAYLOAD_BYTES, 1, rs
             )
-
-            present = [
-                (h, blk) for h, blk in enumerate(deliveries)
-                if blk is not None and len(blk)
-            ]
-            if present:
-                lens = np.array([len(blk) for _h, blk in present], dtype=np.int64)
-                hs = np.repeat(
-                    np.array([h for h, _blk in present], dtype=np.int64), lens
-                )
-                gidv = np.concatenate([blk.gids for _h, blk in present])
-                coeff = np.concatenate(
-                    [blk.cols[0] for _h, blk in present]
-                ).astype(np.float64, copy=False)
-                dv = np.concatenate(
-                    [blk.cols[1] for _h, blk in present]
-                ).astype(np.int64, copy=False)
-                lid = A.lut[hs, gidv]
-                for (h, _blk), cnt in zip(present, lens.tolist()):
-                    rs.compute[h].vertex_ops += cnt
+            if len(deliveries):
+                gidv = deliveries.gids
+                coeff, dv = deliveries.cols
+                lid = lut.take(deliveries.hosts() * n + gidv)
+                for h, cnt in enumerate(deliveries.counts().tolist()):
+                    if cnt:
+                        rs.compute[h].vertex_ops += cnt
                 deg = A.in_offsets[lid + 1] - A.in_offsets[lid]
-                block_starts = np.zeros(lens.size, dtype=np.int64)
-                np.cumsum(lens[:-1], out=block_starts[1:])
-                for (h, _blk), e in zip(
-                    present, np.add.reduceat(deg, block_starts).tolist()
-                ):
+                for h, e in enumerate(deliveries.host_sums(deg).tolist()):
                     if e:
-                        rs.compute[h].edge_ops += int(e)
+                        rs.compute[h].edge_ops += e
                 item_of, wp = expand_csr(A.in_offsets, A.in_sources, lid)
-                if wp.size:
-                    sel = np.nonzero(fd[wp] == dv[item_of] - 1)[0]
-                    if sel.size:
-                        wt = wp[sel]
-                        np.add.at(pdel, wt, fsg[wt] * coeff[item_of[sel]])
-                        ddirty[wt] = True
-                        for h, c in enumerate(
-                            np.bincount(hs[item_of[sel]], minlength=H)
-                        ):
-                            if c:
-                                rs.compute[h].struct_ops += int(c)
+                sel = np.nonzero(fd.take(wp) == dv.take(item_of) - 1)[0]
+                if sel.size:
+                    wt = wp[sel]
+                    item_of = item_of[sel]
+                    np.add.at(pdel, wt, fsg.take(wt) * coeff.take(item_of))
+                    ddirty[wt] = True
+                    for h, c in enumerate(
+                        deliveries.count_by_host(item_of).tolist()
+                    ):
+                        if c:
+                            rs.compute[h].struct_ops += c
 
-            pending = [None] * H
             rows = np.nonzero(ddirty)[0]
             if rows.size == 0:
+                pending = Exchange.empty(H)
                 return False
-            pd_sel = pdel[rows]
-            g_sel = A.gids[rows]
-            bounds = np.searchsorted(rows, A.off)
-            for h in range(H):
-                a, b = int(bounds[h]), int(bounds[h + 1])
-                if b > a:
-                    pending[h] = ColumnBlock.raw(g_sel[a:b], (pd_sel[a:b],))
+            pending = A.exchange(rows, (pdel[rows],))
             pdel[rows] = 0.0
             ddirty[rows] = False
             return True

@@ -54,7 +54,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.runtime.arrays import (
     BIG,
-    ColumnBlock,
+    Exchange,
     HostArena,
     MasterColumns,
     RowStateView,
@@ -245,19 +245,13 @@ class _ArrayBatchExecutor:
         schedule ``head`` to each written key keeps it exact.
         """
         M = self.masters
-        present = [
-            (h, blk) for h, blk in enumerate(inbox)
-            if blk is not None and len(blk)
-        ]
-        if not present:
+        if not len(inbox):
             return
-        for h, blk in present:
-            rs.compute[h].struct_ops += 2 * len(blk)  # flat-map lookup + update
-        gids = np.concatenate([blk.gids for _h, blk in present])
-        snd = np.concatenate([blk.cols[0] for _h, blk in present]).astype(np.int64, copy=False)
-        si = np.concatenate([blk.cols[1] for _h, blk in present]).astype(np.int64, copy=False)
-        d = np.concatenate([blk.cols[2] for _h, blk in present]).astype(np.int64, copy=False)
-        sg = np.concatenate([blk.cols[3] for _h, blk in present]).astype(np.float64, copy=False)
+        for h, c in enumerate(inbox.counts().tolist()):
+            if c:
+                rs.compute[h].struct_ops += 2 * c  # flat-map lookup + update
+        gids = inbox.gids
+        snd, si, d, sg = inbox.cols
         # Flat report ids row·k + si, row = the sender's proxy of gid.
         rc = M.report_rows(snd, gids) * self.k + si
         M.register_new(gids)
@@ -304,8 +298,8 @@ class _ArrayBatchExecutor:
         rnd`` (send rounds strictly increase along the sorted list, so
         fired entries form a stable prefix).  The check is one pass over
         the n-vector of heads; a firing master's head is then recomputed
-        from its own k cells.  Returns (per-host fire blocks, fired
-        count, any_pending).
+        from its own k cells.  Returns (the fires' :class:`Exchange`,
+        fired count, any_pending).
         """
         M = self.masters
         b = M.si_bits
@@ -316,7 +310,7 @@ class _ArrayBatchExecutor:
         head_d = M.head >> b
         assert not (head_d < fire_d).any(), "missed fire: an entry was due earlier"
         g = np.nonzero(head_d == fire_d)[0]
-        blocks = [None] * self.H
+        blocks = Exchange.empty(self.H)
         if g.size:
             g = g[M.order_by_seq(g)]
             key = M.head.take(g)
@@ -330,18 +324,18 @@ class _ArrayBatchExecutor:
             M.refresh_head(g)
             hosts_f = self.pg.master_of[g]
             blocks = GluonArrayPlane._split_by_dest(
-                g, hosts_f, [si_f, d_f, M.best_sigma.reshape(-1).take(mc)],
+                g, hosts_f, (si_f, d_f, M.best_sigma.reshape(-1).take(mc)),
                 self.H,
             )
-            for h, c in enumerate(np.bincount(hosts_f, minlength=self.H)):
+            for h, c in enumerate(blocks.counts().tolist()):
                 if c:
-                    rs.compute[h].struct_ops += int(c)
+                    rs.compute[h].struct_ops += c
         any_pending = bool((M.head < BIG).any())
         return blocks, int(g.size), any_pending
 
-    def _relax_forward(self, deliveries, rs: RoundStats) -> None:
+    def _relax_forward(self, deliveries: Exchange, rs: RoundStats) -> None:
         """Relax local out-edges of this round's fired vertices — one
-        arena-wide sweep over every host's delivery block.
+        arena-wide sweep over every host's delivered items.
 
         The result is the per-cell item-order rule of the class
         docstring; the sweep computes it without ordering the events:
@@ -370,23 +364,14 @@ class _ArrayBatchExecutor:
         from one host.  The ``fpos`` scratch marks cells while the sweep
         runs (−2: resolved by the scan) and is reset to −1 at the end.
         """
-        present = [
-            (h, blk) for h, blk in enumerate(deliveries)
-            if blk is not None and len(blk)
-        ]
-        if not present:
+        if not len(deliveries):
             return
         A = self.arena
         delayed = self.delayed_sync
         k = self.k
-        lens = np.array([len(blk) for _h, blk in present], dtype=np.int64)
-        hs = np.repeat(
-            np.array([h for h, _blk in present], dtype=np.int64), lens
-        )
-        gids = np.concatenate([blk.gids for _h, blk in present])
-        si = np.concatenate([blk.cols[0] for _h, blk in present]).astype(np.int64, copy=False)
-        d = np.concatenate([blk.cols[1] for _h, blk in present]).astype(np.int64, copy=False)
-        sg = np.concatenate([blk.cols[2] for _h, blk in present]).astype(np.float64, copy=False)
+        hs = deliveries.hosts()
+        gids = deliveries.gids
+        si, d, sg = deliveries.cols
         m = int(gids.size)
         items = np.arange(m, dtype=np.int64)
         lid = A.lut.reshape(-1).take(hs * self.n + gids)
@@ -399,22 +384,19 @@ class _ArrayBatchExecutor:
         A.fin_dist[lid, si] = d
         A.fin_sigma[lid, si] = sg
         fpos[fcell] = items
-        for (h, blk), cnt in zip(present, lens.tolist()):
-            oc = rs.compute[h]
-            oc.vertex_ops += cnt
-            if delayed:
-                oc.struct_ops += cnt  # local-list reconciliation probes
+        for h, cnt in enumerate(deliveries.counts().tolist()):
+            if cnt:
+                oc = rs.compute[h]
+                oc.vertex_ops += cnt
+                if delayed:
+                    oc.struct_ops += cnt  # local-list reconciliation probes
         deg = A.out_offsets[lid + 1] - A.out_offsets[lid]
-        # Delivery blocks are host-contiguous, so per-host edge totals are
-        # segment sums at the block starts (int all the way, no bincount
+        # Deliveries are host-contiguous, so per-host edge totals are
+        # segment sums over the host parts (int all the way, no bincount
         # float round-trip).
-        block_starts = np.zeros(lens.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=block_starts[1:])
-        for (h, _blk), e in zip(
-            present, np.add.reduceat(deg, block_starts).tolist()
-        ):
+        for h, e in enumerate(deliveries.host_sums(deg).tolist()):
             if e:
-                rs.compute[h].edge_ops += int(e)
+                rs.compute[h].edge_ops += e
         item_of, w = expand_csr(A.out_offsets, A.out_targets, lid)
         cell = w * k + si[item_of]
         nd = d[item_of] + 1
@@ -594,10 +576,10 @@ class _ArrayBatchExecutor:
 
         One arena-wide sweep: the unsent bitset's sorted index vector
         runs host ascending, then local id ascending, so slicing the
-        row-major result at the arena's host offsets yields per-host
-        blocks staged in (lid, list position) order.
+        row-major result at the arena's host offsets yields the host
+        parts of the exchange, each staged in (lid, list position) order.
         """
-        blocks: list = [None] * self.H
+        blocks = Exchange.empty(self.H)
         A = self.arena
         k = self.k
         lids = A.unsent.indices()
@@ -631,29 +613,13 @@ class _ArrayBatchExecutor:
             d_sel = ks >> sh
             cells = l_sel * k + si_sel
             A.sent_d.reshape(-1)[cells] = d_sel
-            blocks = self._host_blocks(
+            blocks = A.exchange(
                 l_sel, (si_sel, d_sel, A.cand_sigma.reshape(-1).take(cells))
             )
         remain = unsent & ~due & (d != INF)
         A.unsent.clear_many(lids[~remain.any(axis=1)])
         any_work = need.size > 0 or A.unsent.any()
         return blocks, any_work
-
-    def _host_blocks(self, rows: np.ndarray, cols: tuple) -> list:
-        """Per-host exchange blocks of entries listed by non-decreasing
-        arena ``rows``: the gids of the rows plus the payload ``cols``,
-        sliced at the arena's host offsets."""
-        A = self.arena
-        blocks: list = [None] * self.H
-        g_sel = A.gids.take(rows)
-        bounds = np.searchsorted(rows, A.off)
-        for h in range(self.H):
-            a, b = int(bounds[h]), int(bounds[h + 1])
-            if b > a:
-                blocks[h] = ColumnBlock.raw(
-                    g_sel[a:b], tuple(c[a:b] for c in cols)
-                )
-        return blocks
 
     def _take_touched(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """This round's touched cells ``row·k + si`` in row-major order
@@ -672,8 +638,8 @@ class _ArrayBatchExecutor:
         A = self.arena
         cells, rows, cols = self._take_touched()
         if cells.size == 0:
-            return [None] * self.H, False
-        return self._host_blocks(rows, (
+            return Exchange.empty(self.H), False
+        return A.exchange(rows, (
             cols,
             A.cand_dist.reshape(-1).take(cells),
             A.cand_sigma.reshape(-1).take(cells),
@@ -684,13 +650,13 @@ class _ArrayBatchExecutor:
             runtime = SuperstepRuntime(run=self.run)
         gluon = self.gluon
         rledger = obs.current().rounds
-        pending: list = [None] * self.H
+        pending = Exchange.empty(self.H)
 
         def step(rnd: int, rs: RoundStats) -> bool:
             nonlocal pending
 
             inbox = gluon.reduce_to_masters(pending, FWD_PAYLOAD_BYTES, self.k, rs)
-            pending = [None] * self.H
+            pending = Exchange.empty(self.H)
             self._apply_forward_inbox(inbox, rs)
             fires, fired_total, any_pending = self._emit_fires(rnd, rs)
 
@@ -771,46 +737,37 @@ class _ArrayBatchExecutor:
         R, bucket = self._backward_schedule()
         self.delta = np.zeros((self.k, self.n), dtype=np.float64)
         delta = self.delta.reshape(-1)
-        pending: list = [None] * self.H
+        pending = Exchange.empty(self.H)
         rledger = obs.current().rounds
 
         def step(rnd: int, rs: RoundStats) -> bool:
             nonlocal pending
 
             inbox = gluon.reduce_to_masters(pending, BWD_PAYLOAD_BYTES, self.k, rs)
-            pending = [None] * self.H
-            got = [
-                (h, blk) for h, blk in enumerate(inbox)
-                if blk is not None and len(blk)
-            ]
-            if got:
-                for h, blk in got:
-                    rs.compute[h].struct_ops += len(blk)
-                gi = np.concatenate([blk.gids for _h, blk in got])
-                si = np.concatenate(
-                    [blk.cols[1] for _h, blk in got]
-                ).astype(np.int64, copy=False)
-                pd = np.concatenate(
-                    [blk.cols[2] for _h, blk in got]
-                ).astype(np.float64, copy=False)
+            pending = Exchange.empty(self.H)
+            if len(inbox):
+                for h, c in enumerate(inbox.counts().tolist()):
+                    if c:
+                        rs.compute[h].struct_ops += c
+                _snd, si, pd = inbox.cols
                 # Sequential accumulation in inbox order (host asc, item
                 # order within).
-                np.add.at(delta, si * self.n + gi, pd)
+                np.add.at(delta, si * self.n + inbox.gids, pd)
 
             si_f, g_f = bucket(rnd)
-            blocks = [None] * self.H
+            blocks = Exchange.empty(self.H)
             if g_f.size:
                 mc = si_f * self.n + g_f
                 sg = M.best_sigma.reshape(-1).take(mc)
                 coeff = (1.0 + delta.take(mc)) / sg
                 hosts_f = self.pg.master_of[g_f]
                 blocks = GluonArrayPlane._split_by_dest(
-                    g_f, hosts_f, [si_f, coeff, M.ent_d.reshape(-1).take(mc)],
+                    g_f, hosts_f, (si_f, coeff, M.ent_d.reshape(-1).take(mc)),
                     self.H,
                 )
-                for h, c in enumerate(np.bincount(hosts_f, minlength=self.H)):
+                for h, c in enumerate(blocks.counts().tolist()):
                     if c:
-                        rs.compute[h].struct_ops += int(c)
+                        rs.compute[h].struct_ops += c
 
             if rledger is not None:
                 rledger.note(frontier=int(g_f.size), settled=int(g_f.size))
@@ -824,41 +781,26 @@ class _ArrayBatchExecutor:
             if cells.size == 0:
                 return False
             pdelta = self.arena.partial_delta.reshape(-1)
-            pending = self._host_blocks(rows, (cols, pdelta.take(cells)))
+            pending = self.arena.exchange(rows, (cols, pdelta.take(cells)))
             pdelta[cells] = 0.0
             return True
 
         return runtime.run_loop("backward", step, min_rounds=R)
 
-    def _credit_backward(self, deliveries, rs: RoundStats) -> None:
-        present = [
-            (h, blk) for h, blk in enumerate(deliveries)
-            if blk is not None and len(blk)
-        ]
-        if not present:
+    def _credit_backward(self, deliveries: Exchange, rs: RoundStats) -> None:
+        if not len(deliveries):
             return
         A = self.arena
-        lens = np.array([len(blk) for _h, blk in present], dtype=np.int64)
-        hs = np.repeat(
-            np.array([h for h, _blk in present], dtype=np.int64), lens
-        )
-        gids = np.concatenate([blk.gids for _h, blk in present])
-        si = np.concatenate([blk.cols[0] for _h, blk in present]).astype(np.int64, copy=False)
-        coeff = np.concatenate(
-            [blk.cols[1] for _h, blk in present]
-        ).astype(np.float64, copy=False)
-        d = np.concatenate([blk.cols[2] for _h, blk in present]).astype(np.int64, copy=False)
-        lid = A.lut.reshape(-1).take(hs * self.n + gids)
-        for (h, blk), cnt in zip(present, lens.tolist()):
-            rs.compute[h].vertex_ops += cnt
+        hs = deliveries.hosts()
+        si, coeff, d = deliveries.cols
+        lid = A.lut.reshape(-1).take(hs * self.n + deliveries.gids)
+        for h, cnt in enumerate(deliveries.counts().tolist()):
+            if cnt:
+                rs.compute[h].vertex_ops += cnt
         deg = A.in_offsets[lid + 1] - A.in_offsets[lid]
-        block_starts = np.zeros(lens.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=block_starts[1:])
-        for (h, _blk), e in zip(
-            present, np.add.reduceat(deg, block_starts).tolist()
-        ):
+        for h, e in enumerate(deliveries.host_sums(deg).tolist()):
             if e:
-                rs.compute[h].edge_ops += int(e)
+                rs.compute[h].edge_ops += e
         item_of, wp = expand_csr(A.in_offsets, A.in_sources, lid)
         if wp.size == 0:
             return

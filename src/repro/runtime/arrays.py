@@ -2,9 +2,10 @@
 
 The §4.3 label layout as dense ``(k, n)`` / ``(L, k)`` NumPy arrays for
 distance/σ/δ, :class:`~repro.utils.bitset.Bitset`-backed masks for the
-delayed-sync staging sets, and :class:`ColumnBlock` — the unit of
-exchange on the :class:`~repro.runtime.plane.GluonArrayPlane`, a struct
-of arrays instead of a list of tuples.
+delayed-sync staging sets, and :class:`Exchange` — the unit of exchange
+on the :class:`~repro.runtime.plane.GluonArrayPlane`: every host's
+items stacked host by host as a struct of arrays, instead of a list of
+tuples per host.
 
 Explicit converters bridge to the row representations other layers use:
 
@@ -12,8 +13,9 @@ Explicit converters bridge to the row representations other layers use:
   translate between the columnar master state and a
   ``{gid: MasterVertexState}`` map (checkpoints store that row form, and
   the resilience invariant checker reads it);
-- :func:`ColumnBlock.to_tuples` / :func:`ColumnBlock.from_tuples`
-  translate exchange payloads, which is how the array plane routes
+- :meth:`Exchange.to_parts` / :meth:`Exchange.from_parts` translate
+  exchange payloads per host part (:meth:`ColumnBlock.to_tuples` /
+  :meth:`ColumnBlock.from_tuples`), which is how the array plane routes
   through the guarded tuple substrate under a fault plan.
 
 Iteration-order contract: master creation order is explicit state
@@ -23,7 +25,7 @@ backward schedule, BC banking, snapshots) follows it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 import numpy as np
 
@@ -52,15 +54,17 @@ def expand_csr(
     ``for j, i in enumerate(idx): for v in data[off[i]:off[i+1]]: ...``
     """
     idx = np.asarray(idx, dtype=np.int64)
-    counts = (offsets[idx + 1] - offsets[idx]).astype(np.int64, copy=False)
+    starts = offsets.take(idx).astype(np.int64, copy=False)
+    counts = offsets.take(idx + 1) - starts
     item_of = np.arange(idx.size, dtype=np.int64).repeat(counts)
     total = item_of.size
     if total == 0:
         return item_of, data[:0]
-    starts = offsets[idx].astype(np.int64, copy=False)
-    run_first = counts.cumsum() - counts
-    pos = np.arange(total, dtype=np.int64) - run_first.repeat(counts)
-    return item_of, data[starts.repeat(counts) + pos]
+    # Event e of item i reads data[starts[i] + (e - first event of i)]:
+    # one per-item shift, gathered once (a take beats a second repeat).
+    pos = (starts - (counts.cumsum() - counts)).take(item_of)
+    pos += np.arange(total, dtype=np.int64)
+    return item_of, data.take(pos)
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -77,7 +81,7 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 
 class ColumnBlock:
-    """One host's exchange payload as a struct of aligned arrays.
+    """One host's part of an :class:`Exchange`: aligned arrays.
 
     ``gids`` names the global vertex per row; ``cols`` carries the
     payload columns (e.g. source slot, distance, σ).  The tuple
@@ -130,6 +134,88 @@ class ColumnBlock:
                 for col, dt in zip(columns[1:], dtypes)
             ),
         )
+
+
+class Exchange:
+    """One plane exchange: every host's items stacked host by host.
+
+    Host ``h``'s part is ``gids[off[h]:off[h + 1]]`` and the same slice
+    of each payload column in ``cols``, in its staging (or delivery)
+    order; ``off`` holds ``H + 1`` non-decreasing offsets.  Producers
+    build the value directly — staged rows already run host-major, and
+    fires are routed (``GluonArrayPlane._split_by_dest``) — and
+    consumers read the stacked columns in place, so no exchange is
+    split into per-host pieces and stacked again at a boundary.
+
+    Iterating yields each host's part, host ascending, as an O(1)
+    :class:`ColumnBlock` view, or None when the host has no item.  An
+    exchange with no item may carry no payload columns at all.
+    """
+
+    __slots__ = ("gids", "cols", "off")
+
+    def __init__(
+        self, gids: np.ndarray, cols: tuple[np.ndarray, ...], off: np.ndarray
+    ) -> None:
+        self.gids = gids
+        self.cols = cols
+        self.off = off
+
+    @classmethod
+    def empty(cls, num_hosts: int) -> "Exchange":
+        """No item on any of ``num_hosts`` hosts."""
+        return cls(
+            np.empty(0, dtype=np.int64), (), np.zeros(num_hosts + 1, dtype=np.int64)
+        )
+
+    @classmethod
+    def from_parts(
+        cls, parts: list[list[tuple[Any, ...]]], dtypes: tuple[Any, ...]
+    ) -> "Exchange":
+        """Stack per-host ``(gid, *payload)`` tuple lists.
+
+        ``dtypes`` gives the payload column dtypes, as for
+        :meth:`ColumnBlock.from_tuples`.
+        """
+        off = np.zeros(len(parts) + 1, dtype=np.int64)
+        np.cumsum([len(p) for p in parts], out=off[1:])
+        blk = ColumnBlock.from_tuples((t for p in parts for t in p), dtypes)
+        return cls(blk.gids, blk.cols, off)
+
+    def to_parts(self) -> list[list[tuple[Any, ...]]]:
+        """Per host, the tuple substrate's ``(gid, *payload)`` list."""
+        return [[] if blk is None else blk.to_tuples() for blk in self]
+
+    def __len__(self) -> int:
+        return int(self.gids.size)
+
+    def __iter__(self) -> Iterator[ColumnBlock | None]:
+        off = self.off.tolist()
+        for a, b in zip(off[:-1], off[1:]):
+            yield (
+                ColumnBlock.raw(self.gids[a:b], tuple(c[a:b] for c in self.cols))
+                if b > a
+                else None
+            )
+
+    def counts(self) -> np.ndarray:
+        """Items per host."""
+        return np.diff(self.off)
+
+    def hosts(self) -> np.ndarray:
+        """The host of every item."""
+        return np.repeat(np.arange(self.off.size - 1, dtype=np.int64), self.counts())
+
+    def host_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per host, the sum of the per-item integer ``values``."""
+        cs = np.zeros(values.size + 1, dtype=np.int64)
+        np.cumsum(values, out=cs[1:])
+        return cs[self.off[1:]] - cs[self.off[:-1]]
+
+    def count_by_host(self, items: np.ndarray) -> np.ndarray:
+        """Per host, how many of the non-decreasing item positions
+        ``items`` fall in its part."""
+        return np.diff(np.searchsorted(items, self.off))
 
 
 class HostArena:
@@ -256,6 +342,12 @@ class HostArena:
             or [np.empty(0, dtype=np.int64)]
         )
         return offsets, data
+
+    def exchange(self, rows: np.ndarray, cols: tuple[np.ndarray, ...]) -> Exchange:
+        """The exchange of items staged on non-decreasing arena ``rows``:
+        each row's gid plus the payload ``cols``.  Rows run host-major,
+        so the host offsets are where the arena's own fall in ``rows``."""
+        return Exchange(self.gids.take(rows), cols, np.searchsorted(rows, self.off))
 
     def rows_of(self, h: int) -> slice:
         """Arena row range belonging to host ``h``."""

@@ -8,8 +8,8 @@ implementations cover every engine in the repository:
   :class:`~repro.engine.gluon.GluonSubstrate`), used by the BSP vertex
   programs (bfs/wcc/pagerank/kcore, ``run_bsp``);
 - :class:`GluonArrayPlane` — the same verbs and byte model carrying
-  whole :class:`~repro.runtime.arrays.ColumnBlock` columns, used by MRBC
-  and SBBC;
+  one :class:`~repro.runtime.arrays.Exchange` of stacked columns, used
+  by MRBC and SBBC;
 - :class:`CongestPlane` — per-channel delivery with capacity and
   combining caps (wrapping :class:`~repro.congest.network
   .CongestNetwork`'s channel structures), used by the CONGEST programs.
@@ -28,12 +28,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.runtime.arrays import ColumnBlock, expand_csr
+from repro.runtime.arrays import Exchange, expand_csr
 from repro.runtime.errors import (
     ChannelBandwidthError,
     ChannelCapacityError,
     NotAChannelError,
     PartitionMismatchError,
+    UnknownBroadcastTargetError,
 )
 
 
@@ -107,25 +108,27 @@ class GluonPlane(MessagePlane):
 
 
 class GluonArrayPlane(MessagePlane):
-    """Columnar host-level reduce/broadcast: whole columns per boundary.
+    """Columnar host-level reduce/broadcast: one value per exchange.
 
-    The vectorized form of :class:`GluonPlane`.  Exchange payloads are
-    :class:`~repro.runtime.arrays.ColumnBlock` structs (one per host)
-    instead of per-vertex tuple lists; routing, inbox assembly and the
-    per-pair statistics that feed Gluon's byte model are all computed
-    with array reductions.  Byte counts, ledger entries and telemetry
-    are produced by the same :class:`~repro.engine.gluon.GluonSubstrate`
-    model, so both planes report identical communication numbers.
+    The vectorized form of :class:`GluonPlane`.  Both verbs take and
+    return one :class:`~repro.runtime.arrays.Exchange` — every host's
+    items stacked host by host with ``H + 1`` host offsets — instead of
+    per-vertex tuple lists; routing, inbox assembly and the per-pair
+    statistics that feed Gluon's byte model are all computed with array
+    reductions over the stacked columns.  Byte counts, ledger entries
+    and telemetry are produced by the same
+    :class:`~repro.engine.gluon.GluonSubstrate` model, so both planes
+    report identical communication numbers.
 
     Two deliberate scope limits keep the tuple substrate authoritative
     where fidelity beats speed:
 
     - ``exact_sizes`` is refused (it encodes each item individually);
     - under a :class:`~repro.resilience.context.ResilienceContext`, every
-      exchange round-trips through the guarded tuple substrate
-      (:meth:`ColumnBlock.to_tuples` / ``from_tuples``), so fault
-      injection, channel verification and repair are the substrate's
-      own — at tuple speed.
+      exchange round-trips through the guarded tuple substrate, one host
+      part at a time (:meth:`Exchange.to_parts` / ``from_parts``), so
+      fault injection, channel verification and repair are the
+      substrate's own — at tuple speed.
 
     The inbox ordering contract is the tuple plane's: each destination
     host receives sender blocks in ascending sender order, items within
@@ -227,62 +230,46 @@ class GluonArrayPlane(MessagePlane):
         )
 
     @staticmethod
-    def _payload_dtypes(per_host_blocks):
-        for blk in per_host_blocks:
-            if blk is not None and len(blk):
-                return tuple(c.dtype for c in blk.cols)
-        return None
+    def _route(dest, num_hosts) -> tuple[np.ndarray, np.ndarray]:
+        """The stable by-destination permutation of items, and the
+        ``num_hosts + 1`` host offsets of the routed order.
+
+        The destination is cast to the narrowest unsigned type that
+        holds ``num_hosts - 1`` before the stable argsort: for 8- and
+        16-bit keys NumPy sorts by radix, in O(items), and a stable sort
+        returns the same permutation whatever the key's width.
+        """
+        order = np.argsort(
+            dest.astype(np.min_scalar_type(num_hosts - 1)), kind="stable"
+        )
+        off = np.zeros(num_hosts + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dest, minlength=num_hosts), out=off[1:])
+        return order, off
 
     @staticmethod
-    def _split_by_dest(gids, dest, cols, num_hosts):
-        """Stable-partition rows by destination host into per-host blocks."""
-        order = np.argsort(dest, kind="stable")
-        dest_s = dest[order]
-        gids_s = gids[order]
-        cols_s = [c[order] for c in cols]
-        bounds = np.searchsorted(dest_s, np.arange(num_hosts + 1))
-        inbox = [None] * num_hosts
-        for d in range(num_hosts):
-            a, b = bounds[d], bounds[d + 1]
-            if b > a:
-                # Per-host blocks are O(1) slice views of the permuted arrays.
-                inbox[d] = ColumnBlock.raw(
-                    gids_s[a:b], tuple(c[a:b] for c in cols_s)
-                )
-        return inbox
+    def _split_by_dest(gids, dest, cols, num_hosts) -> Exchange:
+        """Stable-partition items by destination host into an exchange."""
+        order, off = GluonArrayPlane._route(dest, num_hosts)
+        return Exchange(gids.take(order), tuple(c.take(order) for c in cols), off)
 
     # -- primitives --------------------------------------------------------
 
-    def reduce_to_masters(self, per_host_blocks, payload_bytes, batch_width, rs):
+    def reduce_to_masters(self, ex: Exchange, payload_bytes, batch_width, rs):
         """Send each host's updated columns to the owning masters.
 
-        ``per_host_blocks[h]`` is a :class:`ColumnBlock` (or None).
-        Returns per-host master inboxes whose first payload column is the
-        sender host.
+        Returns the masters' inboxes as one :class:`Exchange` whose
+        first payload column is the sender host.
         """
         if self.substrate.resilience is not None:
-            return self._reduce_via_substrate(
-                per_host_blocks, payload_bytes, batch_width, rs
-            )
-        present = [
-            (h, blk)
-            for h, blk in enumerate(per_host_blocks)
-            if blk is not None and len(blk)
-        ]
-        if not present:
+            return self._reduce_via_substrate(ex, payload_bytes, batch_width, rs)
+        if not len(ex):
             self.substrate.account_column_pairs(
                 (), payload_bytes, batch_width, rs, op="reduce"
             )
-            return [None] * self.num_hosts
-        gids = np.concatenate([blk.gids for _h, blk in present])
-        snd = np.concatenate(
-            [np.full(len(blk), h, dtype=np.int64) for h, blk in present]
-        )
-        cols = [
-            np.concatenate([blk.cols[i] for _h, blk in present])
-            for i in range(len(present[0][1].cols))
-        ]
-        dest = self.pg.master_of[gids]
+            return Exchange.empty(self.num_hosts)
+        gids = ex.gids
+        snd = ex.hosts()
+        dest = self.pg.master_of.take(gids)
         self.substrate.account_column_pairs(
             self._pair_stats(snd, dest, gids, batch_width),
             payload_bytes,
@@ -290,12 +277,16 @@ class GluonArrayPlane(MessagePlane):
             rs,
             op="reduce",
         )
-        return self._split_by_dest(gids, dest, [snd] + cols, self.num_hosts)
+        return self._split_by_dest(gids, dest, (snd, *ex.cols), self.num_hosts)
 
     def broadcast_from_masters(
-        self, per_host_blocks, targets, payload_bytes, batch_width, rs
+        self, ex: Exchange, targets, payload_bytes, batch_width, rs
     ):
-        """Send master-side columns to the hosts holding relevant proxies."""
+        """Send master-side columns to the hosts holding relevant proxies.
+
+        Raises :class:`~repro.runtime.errors.UnknownBroadcastTargetError`
+        (a ``ValueError``) for a ``targets`` selector that does not exist.
+        """
         try:
             offsets, hosts = self.pg.vertex_host_csr(targets)
         except ValueError:
@@ -304,80 +295,50 @@ class GluonArrayPlane(MessagePlane):
             ) from None
         if self.substrate.resilience is not None:
             return self._broadcast_via_substrate(
-                per_host_blocks, targets, payload_bytes, batch_width, rs
+                ex, targets, payload_bytes, batch_width, rs
             )
-        present = [
-            (h, blk)
-            for h, blk in enumerate(per_host_blocks)
-            if blk is not None and len(blk)
-        ]
-        if not present:
+        if not len(ex):
             self.substrate.account_column_pairs(
                 (), payload_bytes, batch_width, rs, op="broadcast"
             )
-            return [None] * self.num_hosts
-        # One expansion over every sender's block, concatenated in sender
-        # order — identical item sequence to the per-host loop.
-        lens = np.array([len(blk) for _h, blk in present], dtype=np.int64)
-        src_h = np.repeat(
-            np.array([h for h, _blk in present], dtype=np.int64), lens
-        )
-        bg = np.concatenate([blk.gids for _h, blk in present])
-        ncols = len(present[0][1].cols)
-        bcols = [
-            np.concatenate([blk.cols[i] for _h, blk in present])
-            for i in range(ncols)
-        ]
-        item_of, dst = expand_csr(offsets, hosts, bg)
-        gids = bg[item_of]
-        snd = src_h[item_of]
-        dest = dst.astype(np.int64, copy=False)
-        cols = [c[item_of] for c in bcols]
+            return Exchange.empty(self.num_hosts)
+        # One expansion over the stacked senders, in sender order — the
+        # item sequence of a per-host loop — then one gather per column
+        # through the routed order.
+        item_of, dest = expand_csr(offsets, hosts, ex.gids)
+        dest = dest.astype(np.int64, copy=False)
+        snd = ex.hosts().take(item_of)
         self.substrate.account_column_pairs(
-            self._pair_stats(snd, dest, gids, batch_width),
+            self._pair_stats(snd, dest, ex.gids.take(item_of), batch_width),
             payload_bytes,
             batch_width,
             rs,
             op="broadcast",
         )
-        return self._split_by_dest(gids, dest, cols, self.num_hosts)
+        order, off = self._route(dest, self.num_hosts)
+        sel = item_of.take(order)
+        return Exchange(ex.gids.take(sel), tuple(c.take(sel) for c in ex.cols), off)
 
     # -- resilience fallback (guarded tuple substrate) ---------------------
 
-    def _reduce_via_substrate(self, per_host_blocks, payload_bytes, batch_width, rs):
-        dtypes = self._payload_dtypes(per_host_blocks)
-        items = [
-            blk.to_tuples() if blk is not None else []
-            for blk in per_host_blocks
-        ]
+    def _reduce_via_substrate(self, ex, payload_bytes, batch_width, rs):
         inbox = self.substrate.reduce_to_masters(
-            items, payload_bytes, batch_width, rs
+            ex.to_parts(), payload_bytes, batch_width, rs
         )
-        if dtypes is None:
-            return [None] * self.num_hosts
-        full = (np.dtype(np.int64), *dtypes)
-        return [
-            ColumnBlock.from_tuples(lst, full) if lst else None
-            for lst in inbox
-        ]
+        if not len(ex):
+            return Exchange.empty(self.num_hosts)
+        dtypes = (np.dtype(np.int64), *(c.dtype for c in ex.cols))
+        return Exchange.from_parts(inbox, dtypes)
 
     def _broadcast_via_substrate(
-        self, per_host_blocks, targets, payload_bytes, batch_width, rs
+        self, ex, targets, payload_bytes, batch_width, rs
     ):
-        dtypes = self._payload_dtypes(per_host_blocks)
-        items = [
-            blk.to_tuples() if blk is not None else []
-            for blk in per_host_blocks
-        ]
         inbox = self.substrate.broadcast_from_masters(
-            items, targets, payload_bytes, batch_width, rs
+            ex.to_parts(), targets, payload_bytes, batch_width, rs
         )
-        if dtypes is None:
-            return [None] * self.num_hosts
-        return [
-            ColumnBlock.from_tuples(lst, dtypes) if lst else None
-            for lst in inbox
-        ]
+        if not len(ex):
+            return Exchange.empty(self.num_hosts)
+        return Exchange.from_parts(inbox, tuple(c.dtype for c in ex.cols))
 
 
 class CongestPlane(MessagePlane):

@@ -131,12 +131,11 @@ class MasterRig:
         self.pending = True
 
     def contribute(self, gid: int, si: int, host: int, d: int, sigma: float) -> None:
-        from repro.runtime.arrays import ColumnBlock
+        from repro.runtime.arrays import Exchange
 
-        inbox = [None] * self.ex.H
-        inbox[int(self.ex.pg.master_of[gid])] = ColumnBlock.from_tuples(
-            [(gid, host, si, d, sigma)], (np.int64, np.int64, np.int64, np.float64)
-        )
+        parts: list[list] = [[] for _ in range(self.ex.H)]
+        parts[int(self.ex.pg.master_of[gid])] = [(gid, host, si, d, sigma)]
+        inbox = Exchange.from_parts(parts, (np.int64, np.int64, np.int64, np.float64))
         self.ex._apply_forward_inbox(inbox, self.rs)
 
     def fire(self, rnd: int) -> list[tuple]:

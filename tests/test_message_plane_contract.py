@@ -31,6 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+import pytest
+
 from repro import obs
 from repro.congest.network import CongestNetwork
 from repro.congest.program import BROADCAST, VertexProgram
@@ -46,28 +49,18 @@ from repro.obs.comm import (
     CommLedger,
 )
 from repro.obs.rounds import RoundLedger
-from repro.runtime.arrays import ColumnBlock
+from repro.runtime.arrays import Exchange
+from repro.runtime.errors import UnknownBroadcastTargetError
 from repro.runtime.plane import GluonArrayPlane, GluonPlane
 from repro.runtime.superstep import SuperstepRuntime
 
 NUM_HOSTS = 4
 
 
-def _blocks(per_host_items: list[list], payload_cols: int) -> list:
-    """Tuple staging lists → per-host :class:`ColumnBlock`s (or None)."""
-    import numpy as np
-
-    out: list = [None] * len(per_host_items)
-    for h, items in enumerate(per_host_items):
-        if not items:
-            continue
-        gids = np.array([it[0] for it in items], dtype=np.int64)
-        cols = tuple(
-            np.array([it[1 + c] for it in items])
-            for c in range(payload_cols)
-        )
-        out[h] = ColumnBlock.raw(gids, cols)
-    return out
+def _blocks(per_host_items: list[list], payload_cols: int) -> Exchange:
+    """Tuple staging lists → one :class:`Exchange`."""
+    dtypes = (np.int64,) * (payload_cols - 1) + (np.float64,)
+    return Exchange.from_parts(per_host_items, dtypes)
 
 
 @dataclass
@@ -175,7 +168,7 @@ class TestGluonArrayPlaneContract(PlaneContractBase):
     """The columnar plane under the exact same contract and workload.
 
     Drives :class:`GluonArrayPlane` with the same logical items as
-    :class:`TestGluonPlaneContract` (staged as ColumnBlocks), so on top
+    :class:`TestGluonPlaneContract` (staged as one Exchange), so on top
     of the base contract we can assert its accounting is *identical* to
     the tuple plane's, byte for byte.
     """
@@ -204,7 +197,7 @@ class TestGluonArrayPlaneContract(PlaneContractBase):
             )
             # An empty round: nothing staged, nothing may be recorded.
             rs = run.new_round("forward")
-            plane.reduce_to_masters([None] * NUM_HOSTS, 12, 1, rs)
+            plane.reduce_to_masters(Exchange.empty(NUM_HOSTS), 12, 1, rs)
         return Reference(
             messages=run.total_pair_messages,
             payload_bytes=run.total_bytes,
@@ -236,6 +229,116 @@ class TestGluonArrayPlaneContract(PlaneContractBase):
         for h in range(NUM_HOSTS):
             assert out[h] == sum(int(r.bytes_out[h]) for r in run.rounds)
             assert inn[h] == sum(int(r.bytes_in[h]) for r in run.rounds)
+
+
+class TestExchangeValue:
+    """The array plane's one exchange value, for both verbs.
+
+    Each verb returns one :class:`Exchange`; iterated, it yields the H
+    host parts in host order (each part equal to the tuple plane's
+    inbox for that host), the parts stacked are its columns, and their
+    lengths sum to the items the plane delivered — the count the e2e
+    benchmark takes for ``plane.items`` by iterating the return value.
+    """
+
+    def _exchange(self, verb: str):
+        g = gen.erdos_renyi(40, 3.0, seed=13)
+        pg = partition_graph(g, NUM_HOSTS, "cvc")
+        items: list[list] = [[] for _ in range(NUM_HOSTS)]
+        if verb == "reduce":
+            for v in range(0, g.num_vertices, 2):
+                for h in pg.hosts_with_proxy(v).tolist():
+                    items[h].append((v, 1, float(v + h)))
+            dtypes = (np.int64, np.float64)
+        else:
+            for v in range(0, g.num_vertices, 3):
+                items[int(pg.master_of[v])].append((v, 0, 1, float(v)))
+            dtypes = (np.int64, np.int64, np.float64)
+        out = []
+        for plane, staged in (
+            (GluonArrayPlane(pg), Exchange.from_parts(items, dtypes)),
+            (GluonPlane(pg), items),
+        ):
+            rs = EngineRun(num_hosts=NUM_HOSTS).new_round("forward")
+            if verb == "reduce":
+                got = plane.reduce_to_masters(staged, 12, 1, rs)
+            else:
+                got = plane.broadcast_from_masters(
+                    staged, TARGET_ALL_PROXIES, 16, 1, rs
+                )
+            out.append((got, rs))
+        return pg, out
+
+    @pytest.mark.parametrize("verb", ["reduce", "broadcast"])
+    def test_iterates_to_host_parts_in_host_order(self, verb):
+        pg, [(ex, _rs), (tuple_inbox, _trs)] = self._exchange(verb)
+        parts = list(ex)
+        assert len(parts) == NUM_HOSTS
+        assert [[] if p is None else p.to_tuples() for p in parts] == tuple_inbox
+        for h, part in enumerate(parts):
+            if part is None:
+                continue
+            if verb == "reduce":
+                assert (pg.master_of[part.gids] == h).all()
+            else:
+                assert all(h in pg.hosts_with_proxy(g).tolist()
+                           for g in part.gids.tolist())
+
+    @pytest.mark.parametrize("verb", ["reduce", "broadcast"])
+    def test_parts_concatenate_to_the_stacked_columns(self, verb):
+        _pg, [(ex, _rs), _tuple] = self._exchange(verb)
+        parts = [p for p in ex if p is not None]
+        assert np.array_equal(np.concatenate([p.gids for p in parts]), ex.gids)
+        for i, col in enumerate(ex.cols):
+            assert np.array_equal(np.concatenate([p.cols[i] for p in parts]), col)
+        assert np.array_equal(ex.off, np.cumsum([0] + [
+            0 if p is None else len(p) for p in ex
+        ]))
+
+    @pytest.mark.parametrize("verb", ["reduce", "broadcast"])
+    def test_part_lengths_sum_to_delivered_items(self, verb):
+        _pg, [(ex, rs), (tuple_inbox, trs)] = self._exchange(verb)
+        delivered = sum(len(blk) for blk in ex if blk is not None)
+        assert delivered == len(ex) == rs.items_synced > 0
+        assert delivered == sum(len(lst) for lst in tuple_inbox) == trs.items_synced
+
+    @pytest.mark.parametrize("num_hosts", [3, 256, 300])
+    def test_split_by_dest_is_the_int64_stable_argsort(self, num_hosts):
+        # 8-bit (3, 256) and 16-bit (300) destination keys: the radix
+        # path must give the permutation of an int64 stable sort.
+        assert np.min_scalar_type(num_hosts - 1).itemsize == (
+            1 if num_hosts <= 256 else 2
+        )
+        rng = np.random.default_rng(num_hosts)
+        m = 5000
+        dest = rng.integers(0, num_hosts, size=m)
+        dest[: m // 2] = rng.integers(0, 3, size=m // 2)  # long runs of ties
+        items = np.arange(m, dtype=np.int64)
+        payload = rng.random(m)
+        ex = GluonArrayPlane._split_by_dest(items, dest, (payload,), num_hosts)
+        order = np.argsort(dest.astype(np.int64), kind="stable")
+        assert np.array_equal(ex.gids, order)
+        assert np.array_equal(ex.cols[0], payload[order])
+        assert np.array_equal(
+            ex.off, np.searchsorted(dest[order], np.arange(num_hosts + 1))
+        )
+
+
+class TestUnknownBroadcastTarget:
+    """Both Gluon planes reject a broadcast target selector that does
+    not exist with :class:`UnknownBroadcastTargetError`, a ``ValueError``."""
+
+    @pytest.mark.parametrize("plane_cls", [GluonPlane, GluonArrayPlane])
+    def test_raises(self, plane_cls):
+        pg = partition_graph(gen.erdos_renyi(20, 3.0, seed=1), NUM_HOSTS, "cvc")
+        staged = (
+            Exchange.empty(NUM_HOSTS) if plane_cls is GluonArrayPlane
+            else [[] for _ in range(NUM_HOSTS)]
+        )
+        rs = EngineRun(num_hosts=NUM_HOSTS).new_round("forward")
+        with pytest.raises(UnknownBroadcastTargetError, match="nowhere"):
+            plane_cls(pg).broadcast_from_masters(staged, "nowhere", 12, 1, rs)
+        assert issubclass(UnknownBroadcastTargetError, ValueError)
 
 
 class Flood(VertexProgram):

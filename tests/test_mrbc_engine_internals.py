@@ -21,7 +21,7 @@ from repro.graph.builders import from_edges
 from repro.obs.rounds import RoundLedger
 from repro.resilience.context import ResilienceContext
 from repro.resilience.plan import FaultPlan, FaultSpec, get_plan
-from repro.runtime.arrays import BIG, ColumnBlock, MasterColumns
+from repro.runtime.arrays import BIG, ColumnBlock, Exchange, MasterColumns
 from repro.runtime.plane import GluonArrayPlane
 
 
@@ -46,12 +46,10 @@ def deliver(ex, rs, items, h=0):
 
 def deliver_all(ex, rs, by_host):
     """One relax sweep over ``{host: [(gid, si, d, sigma), ...]}``."""
-    blocks = [None] * ex.H
-    for h, items in by_host.items():
-        blocks[h] = ColumnBlock.from_tuples(
-            items, (np.int64, np.int64, np.float64)
-        )
-    ex._relax_forward(blocks, rs)
+    parts = [by_host.get(h, []) for h in range(ex.H)]
+    ex._relax_forward(
+        Exchange.from_parts(parts, (np.int64, np.int64, np.float64)), rs
+    )
 
 
 def local_list(ex, gid, h=0):
@@ -349,8 +347,9 @@ class TestDelayedStaging:
 def stage_reference(ex, rnd, rs):
     """Delayed-sync staging as the argsort formulation: each pending
     row's candidates ordered by ``argsort`` on ``d·(k+1) + si`` keys,
-    then gathered through the order.  Mutates ``ex`` as
-    ``_stage_delayed`` does and returns the same ``(blocks, any_work)``.
+    then gathered through the order and sliced per host.  Mutates ``ex``
+    as ``_stage_delayed`` does and returns ``(blocks, any_work)``, where
+    ``blocks`` lists what iterating the staged exchange must yield.
     """
     blocks = [None] * ex.H
     A = ex.arena
@@ -622,19 +621,18 @@ class TestInboxRules:
                     (h, own.get(gid, 0), gid, lo, sigmas[proxies.index(h)])
                     for h in data.draw(st.permutations(proxies), label="order")
                 ]
-            # The inbox holds one block per master host; reports reach
+            # The inbox holds one part per master host; reports reach
             # the merge in master-host order, drawn order within.
-            inbox = [None] * H
+            parts = []
             ordered = []
             for mh in range(H):
                 mine = [r for r in reports if pg.master_of[r[2]] == mh]
-                if mine:
-                    inbox[mh] = ColumnBlock.from_tuples(
-                        [(gid, h, si, d, sg) for h, si, gid, d, sg in mine],
-                        (np.int64, np.int64, np.int64, np.float64),
-                    )
-                    ordered += mine
-            ex._apply_forward_inbox(inbox, rs)
+                parts.append([(gid, h, si, d, sg) for h, si, gid, d, sg in mine])
+                ordered += mine
+            ex._apply_forward_inbox(
+                Exchange.from_parts(parts, (np.int64, np.int64, np.int64, np.float64)),
+                rs,
+            )
             ref.merge(ordered)
             if step == 0:
                 ex._emit_fires(1, rs)
@@ -668,11 +666,11 @@ class TestInboxRules:
             np.array([1], dtype=np.int64), True,
         )
         assert pg.hosts_with_proxy(0).tolist() == list(range(H))
-        inbox = [None] * H
-        inbox[int(pg.master_of[0])] = ColumnBlock.from_tuples(
-            [(0, h, 0, 1, 2.0**53 if h == 0 else 1.0) for h in reversed(range(H))],
-            (np.int64, np.int64, np.int64, np.float64),
-        )
+        parts: list[list] = [[] for _ in range(H)]
+        parts[int(pg.master_of[0])] = [
+            (0, h, 0, 1, 2.0**53 if h == 0 else 1.0) for h in reversed(range(H))
+        ]
+        inbox = Exchange.from_parts(parts, (np.int64, np.int64, np.int64, np.float64))
         ex._apply_forward_inbox(inbox, ex.run.new_round("forward"))
         assert ex.masters.best_sigma[0, 0] == 2.0**53
         assert list(ex.masters.to_rows()[0].contrib[0]) == list(range(H))
@@ -684,11 +682,9 @@ class TestInboxRules:
         g = gen.path_graph(8, bidirectional=True)
         ex = make_executor(g, [5], H=3)
         assert ex.arena.lut[1, 5] >= 0 and ex.arena.lut[2, 5] >= 0
-        inbox = [None] * 3
-        inbox[int(ex.pg.master_of[5])] = ColumnBlock.from_tuples(
-            [(5, 2, 0, 0, 2.0**53), (5, 1, 0, 0, 1.0)],
-            (np.int64, np.int64, np.int64, np.float64),
-        )
+        parts: list[list] = [[], [], []]
+        parts[int(ex.pg.master_of[5])] = [(5, 2, 0, 0, 2.0**53), (5, 1, 0, 0, 1.0)]
+        inbox = Exchange.from_parts(parts, (np.int64, np.int64, np.int64, np.float64))
         ex._apply_forward_inbox(inbox, ex.run.new_round("forward"))
         assert ex.masters.best_sigma[0, 5] == 2.0**53
         assert list(ex.masters.to_rows()[5].contrib[0]) == [-1, 1, 2]

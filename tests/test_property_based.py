@@ -1,13 +1,21 @@
 """Property-based tests (hypothesis) on core data structures and the
-paper's invariants."""
+paper's invariants.
+
+The σ and distance invariants asserted against Brandes follow
+Pontecorvi–Ramachandran, *Distributed Algorithms for Directed
+Betweenness Centrality and All Pairs Shortest Paths*: every engine must
+reproduce each source's shortest-path DAG exactly — its distances and
+its path counts σ — not only the BC sums built from them."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.brandes import brandes_bc, brandes_sssp
+from repro.baselines.sbbc import sbbc_engine
 from repro.core.mrbc import mrbc_engine
 from repro.core.mrbc_congest import directed_apsp, mrbc_congest
+from repro.engine.partition import partition_graph
 from repro.graph.digraph import DiGraph
 from repro.utils.bitset import Bitset
 from repro.utils.flatmap import FlatMap
@@ -33,6 +41,21 @@ def digraphs(draw, max_n=16, max_m=40):
         arr = np.asarray(edges, dtype=np.int64)
         return DiGraph(n, arr[:, 0], arr[:, 1])
     return DiGraph(n, np.empty(0, np.int64), np.empty(0, np.int64))
+
+
+@st.composite
+def dense_digraphs(draw, max_n=16):
+    """1–``max_n`` vertices, each possible edge present with a drawn
+    probability: the single vertex, edgeless graphs, and dense ones
+    whose shortest-path DAGs have many equal-length paths, so σ sums
+    over several predecessors and several hosts."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    p = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = rng.random((n, n)) < p
+    np.fill_diagonal(adj, False)
+    src, dst = np.nonzero(adj)
+    return DiGraph(n, src.astype(np.int64), dst.astype(np.int64))
 
 
 @st.composite
@@ -112,6 +135,33 @@ class TestMRBCProperties:
         for v in range(g.num_vertices):
             if g.out_degree(v) == 0:
                 assert abs(res.bc[v]) < 1e-12
+
+
+class TestSBBCProperties:
+    """SBBC against Brandes on every input class: 1–16 vertices (the
+    single vertex and edgeless graphs included), 1–5 hosts, each
+    partition policy, any unique source set."""
+
+    @given(dense_digraphs(), st.integers(1, 5),
+           st.sampled_from(["oec", "iec", "cvc", "random"]), st.data())
+    @settings(deadline=None)
+    def test_sbbc_matches_brandes(self, g, hosts, policy, data):
+        n = g.num_vertices
+        srcs = sorted(data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+            label="sources",
+        ))
+        kw = {"seed": data.draw(st.integers(0, 2**31 - 1), label="seed")} \
+            if policy == "random" else {}
+        pg = partition_graph(g, hosts, policy, **kw)
+        res = sbbc_engine(g, sources=srcs, partition=pg)
+        for i, s in enumerate(srcs):
+            dist, sigma, _preds, _order = brandes_sssp(g, s)
+            assert np.array_equal(res.dist[i], dist)
+            assert np.array_equal(res.sigma[i], sigma)
+        np.testing.assert_allclose(
+            res.bc, brandes_bc(g, sources=srcs), rtol=1e-9, atol=0
+        )
 
 
 # -- data-structure models --------------------------------------------------------
