@@ -26,6 +26,7 @@ Byte accounting is exact and deterministic; simulated wire time comes from
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -81,8 +82,35 @@ class GluonSubstrate:
         self.H = pgraph.num_hosts
         self.exact_sizes = exact_sizes
         self.resilience = resilience
+        #: Per host pair, the bitmap over its shared proxies in bytes;
+        #: a pair that shares none has no bitmap (an unbounded size).
+        self._bitmap_bytes = [
+            [(c + 7) // 8 if c else math.inf for c in row]
+            for row in pgraph.shared_proxies.tolist()
+        ]
 
     # -- metadata model --------------------------------------------------------
+
+    def _pair_bytes(
+        self,
+        sender: int,
+        receiver: int,
+        n_vertices: int,
+        n_items: int,
+        source_meta: int,
+        payload_bytes: int,
+    ) -> int:
+        """Size of one aggregated pair message, the one formula both
+        planes charge: the header, the synchronized proxies named by
+        whichever is smaller — an index list or a bitmap over the pair's
+        shared proxies (none when they share none) — the per-vertex
+        source metadata ``source_meta``, and the payload."""
+        return (
+            MESSAGE_HEADER_BYTES
+            + min(VERTEX_ID_BYTES * n_vertices, self._bitmap_bytes[sender][receiver])
+            + source_meta
+            + payload_bytes * n_items
+        )
 
     def _message_bytes(
         self,
@@ -95,15 +123,9 @@ class GluonSubstrate:
         """Size of one aggregated pair message.
 
         ``items_by_vertex`` maps each distinct vertex in the message to its
-        number of per-source items.
+        number of per-source items.  With batched sources, a vertex's
+        sources are named by min(index list, k-bit bitvector).
         """
-        n_vertices = len(items_by_vertex)
-        n_items = sum(items_by_vertex.values())
-        shared = int(self.pg.shared_proxies[sender, receiver])
-        vertex_meta = min(
-            VERTEX_ID_BYTES * n_vertices,
-            (shared + 7) // 8 if shared else VERTEX_ID_BYTES * n_vertices,
-        )
         if batch_width > 1:
             per_vertex_bitvec = (batch_width + 7) // 8
             source_meta = sum(
@@ -112,110 +134,85 @@ class GluonSubstrate:
             )
         else:
             source_meta = 0
-        return (
-            MESSAGE_HEADER_BYTES
-            + vertex_meta
-            + source_meta
-            + payload_bytes * n_items
-        )
-
-    def _pair_bytes_from_stats(
-        self,
-        sender: int,
-        receiver: int,
-        n_vertices: int,
-        n_items: int,
-        source_meta: int,
-        payload_bytes: int,
-    ) -> int:
-        """The :meth:`_message_bytes` formula from pre-aggregated counts.
-
-        The array plane computes ``n_vertices`` (distinct vertices in the
-        pair message), ``n_items`` and ``source_meta`` (the summed
-        min(index list, k-bit bitvector) term) with array reductions
-        instead of a per-item dict scan; the byte model is shared so both
-        planes charge identical sizes.
-        """
-        shared = int(self.pg.shared_proxies[sender, receiver])
-        vertex_meta = min(
-            VERTEX_ID_BYTES * n_vertices,
-            (shared + 7) // 8 if shared else VERTEX_ID_BYTES * n_vertices,
-        )
-        return (
-            MESSAGE_HEADER_BYTES
-            + vertex_meta
-            + source_meta
-            + payload_bytes * n_items
+        return self._pair_bytes(
+            sender,
+            receiver,
+            len(items_by_vertex),
+            sum(items_by_vertex.values()),
+            source_meta,
+            payload_bytes,
         )
 
     def account_column_pairs(
         self,
-        pair_stats: Sequence[tuple[int, int, int, int, int]],
+        columns: Sequence[Sequence[int]],
         payload_bytes: int,
-        batch_width: int,
         rs: RoundStats,
         op: str = "sync",
     ) -> None:
         """Columnar twin of :meth:`_account`.
 
-        ``pair_stats`` rows are ``(sender, receiver, n_items, n_vertices,
-        source_meta_bytes)`` — one row per host pair with traffic this
-        round.  Every byte, counter, ledger entry and telemetry sample is
-        produced exactly as the tuple path would; only the aggregation
-        that *computes* the per-pair counts moved into array code.
-        Requires the closed-form size model (``exact_sizes`` encodes each
-        item and has no columnar equivalent).
+        ``columns`` are the per-pair columns ``(senders, receivers,
+        n_items, n_vertices, source_meta)`` — one entry per host pair
+        with traffic this round, ``source_meta`` the summed min(index
+        list, k-bit bitvector) term.  Every byte, counter, ledger entry
+        and telemetry sample is produced exactly as the tuple path
+        would; only the aggregation that *computes* the per-pair counts
+        moved into array code.  Message sizes are Python-int arithmetic;
+        the per-host byte and message totals reach ``rs`` once per call.
+        Requires the closed-form size model (``exact_sizes`` encodes
+        each item and has no columnar equivalent).
         """
         if self.exact_sizes:
             raise ValueError(
                 "columnar accounting requires the closed-form size model; "
                 "exact_sizes stays on the tuple plane (GluonPlane)"
             )
-        del batch_width  # folded into source_meta_bytes by the caller
+        senders, receivers, n_items, n_vertices, source_meta = columns
         tele = obs.current()
         ledger = tele.comm
-        if tele.enabled:
-            before = (
-                int(rs.bytes_out.sum()),
-                rs.pair_messages,
-                rs.items_synced,
-                rs.proxies_synced,
-            )
-        for sender, receiver, n_items, n_vertices, source_meta in pair_stats:
-            rs.items_synced += n_items
-            rs.proxies_synced += n_vertices
+        hist = None
+        H = self.H
+        bytes_out = [0] * H
+        bytes_in = [0] * H
+        msgs_out = [0] * H
+        msgs_in = [0] * H
+        messages = 0
+        for sender, receiver, items, vertices, meta in zip(
+            senders, receivers, n_items, n_vertices, source_meta
+        ):
             if sender == receiver:
                 continue  # local delivery is free
-            nbytes = self._pair_bytes_from_stats(
-                sender, receiver, n_vertices, n_items, source_meta, payload_bytes
+            nbytes = self._pair_bytes(
+                sender, receiver, vertices, items, meta, payload_bytes
             )
-            rs.pair_messages += 1
-            rs.bytes_out[sender] += nbytes
-            rs.bytes_in[receiver] += nbytes
-            rs.msgs_out[sender] += 1
-            rs.msgs_in[receiver] += 1
+            messages += 1
+            bytes_out[sender] += nbytes
+            bytes_in[receiver] += nbytes
+            msgs_out[sender] += 1
+            msgs_in[receiver] += 1
             if ledger is not None:
-                ledger.record_pair_message(
-                    rs, sender, receiver, n_items, nbytes, op
-                )
+                ledger.record_pair_message(rs, sender, receiver, items, nbytes, op)
             if tele.enabled:
-                tele.metrics.histogram("gluon.message_bytes", op=op).observe(
-                    nbytes
-                )
+                if hist is None:
+                    hist = tele.metrics.histogram("gluon.message_bytes", op=op)
+                hist.observe(nbytes)
+        items_synced = sum(n_items)
+        proxies_synced = sum(n_vertices)
+        rs.items_synced += items_synced
+        rs.proxies_synced += proxies_synced
+        if messages:
+            rs.pair_messages += messages
+            rs.bytes_out += bytes_out
+            rs.bytes_in += bytes_in
+            rs.msgs_out += msgs_out
+            rs.msgs_in += msgs_in
         if tele.enabled:
             m = tele.metrics
-            m.counter("gluon.bytes", op=op).inc(
-                int(rs.bytes_out.sum()) - before[0]
-            )
-            m.counter("gluon.pair_messages", op=op).inc(
-                rs.pair_messages - before[1]
-            )
-            m.counter("gluon.items_synced", op=op).inc(
-                rs.items_synced - before[2]
-            )
-            m.counter("gluon.proxies_synced", op=op).inc(
-                rs.proxies_synced - before[3]
-            )
+            m.counter("gluon.bytes", op=op).inc(sum(bytes_out))
+            m.counter("gluon.pair_messages", op=op).inc(messages)
+            m.counter("gluon.items_synced", op=op).inc(items_synced)
+            m.counter("gluon.proxies_synced", op=op).inc(proxies_synced)
 
     def _encoded_bytes(
         self,

@@ -150,6 +150,18 @@ class Exchange:
     Iterating yields each host's part, host ascending, as an O(1)
     :class:`ColumnBlock` view, or None when the host has no item.  An
     exchange with no item may carry no payload columns at all.
+
+    Invariant — *vertex runs*: within a host part of an exchange the
+    plane sends, a vertex's items are adjacent, so no ``(host, gid)``
+    appears in two runs.  This is the shape of a Gluon pair message
+    (each vertex named once, with one source bitvector), and the plane
+    reads its per-pair message sizes off the runs.  Every producer
+    satisfies it: staged rows run row-major
+    (:meth:`HostArena.exchange`), MRBC fires are unique per master, its
+    backward buckets are grouped by ``master_seq``, and SBBC's
+    exchanges name each gid once per host.  A reduce's inbox is grouped
+    by sender instead: a vertex reported by several hosts appears once
+    per sender block of its master's part.
     """
 
     __slots__ = ("gids", "cols", "off")
@@ -200,7 +212,7 @@ class Exchange:
 
     def counts(self) -> np.ndarray:
         """Items per host."""
-        return np.diff(self.off)
+        return self.off[1:] - self.off[:-1]
 
     def hosts(self) -> np.ndarray:
         """The host of every item."""

@@ -38,6 +38,10 @@ from repro.runtime.errors import (
 )
 
 
+#: The per-pair columns of an exchange with no item.
+_NO_PAIRS: tuple[tuple[int, ...], ...] = ((),) * 5
+
+
 def resolve_partition(g, partition=None, num_hosts: int = 8, policy: str = "cvc"):
     """Return the partition a Gluon driver should run on.
 
@@ -113,10 +117,11 @@ class GluonArrayPlane(MessagePlane):
     The vectorized form of :class:`GluonPlane`.  Both verbs take and
     return one :class:`~repro.runtime.arrays.Exchange` — every host's
     items stacked host by host with ``H + 1`` host offsets — instead of
-    per-vertex tuple lists; routing, inbox assembly and the per-pair
-    statistics that feed Gluon's byte model are all computed with array
-    reductions over the stacked columns.  Byte counts, ledger entries
-    and telemetry are produced by the same
+    per-vertex tuple lists; routing and inbox assembly are array
+    gathers over the stacked columns, and the per-pair statistics that
+    feed Gluon's byte model are read off the routed order in one linear
+    pass (:meth:`_pair_stats`).  Byte counts, ledger entries and
+    telemetry are produced by the same
     :class:`~repro.engine.gluon.GluonSubstrate` model, so both planes
     report identical communication numbers.
 
@@ -149,85 +154,60 @@ class GluonArrayPlane(MessagePlane):
         self.pg = pg
         self.substrate = substrate
         self.num_hosts = pg.num_hosts
-        self._n = int(pg.master_of.size)
 
     # -- pair statistics ---------------------------------------------------
 
-    def _pair_stats(self, snd, dest, gids, batch_width):
-        """Per host pair: (sender, receiver, n_items, n_vertices,
-        source_meta_bytes), via array group-bys over the routed items."""
+    @staticmethod
+    def _pair_stats(snd, inbox: Exchange, batch_width) -> list[list[int]]:
+        """The per-pair columns ``[senders, receivers, n_items,
+        n_vertices, source_meta]`` of a routed exchange: one entry per
+        host pair with traffic, in (sender, receiver) order.
+
+        ``inbox`` is the routed order and ``snd`` its sender per item.
+        The stable route keeps each receiver's items in sender order, so
+        every (receiver, sender) pair is one contiguous segment, and the
+        sender's vertex runs (the :class:`Exchange` invariant) lie whole
+        in it: a run starts at a segment start or a gid change.  One
+        linear pass reads a pair's message off its segment — the items
+        are its length, the vertices (each named once) its run starts,
+        and the source metadata sums ``min(4·run length, ⌈k/8⌉)`` over
+        its runs.  No sort over the items and no size threshold; only
+        the ≤ H² pairs are reordered.
+        """
         from repro.engine.gluon import SOURCE_ID_BYTES
 
-        H = self.num_hosts
-        n = self._n
-        if gids.size <= 32:
-            # Tiny exchanges (frontier tails on sparse graphs) group
-            # faster through plain dicts than through a dozen
-            # fixed-overhead array ops — the crossover sits near 40
-            # items; the result is identical, ordered by pair key.
-            # The source-meta term is maintained incrementally: raising a
-            # vertex's item count from c-1 to c adds the delta of the
-            # min(index list, bitvector) encoding.
-            bitvec = (batch_width + 7) // 8 if batch_width > 1 else 0
-            vcount: dict[int, int] = {}
-            agg: dict[int, list[int]] = {}
-            for s_, d_, g_ in zip(snd.tolist(), dest.tolist(), gids.tolist()):
-                pk_ = s_ * H + d_
-                key = pk_ * n + g_
-                c = vcount.get(key, 0) + 1
-                vcount[key] = c
-                st = agg.get(pk_)
-                if st is None:
-                    agg[pk_] = st = [0, 0, 0]
-                st[0] += 1
-                if c == 1:
-                    st[1] += 1
-                if bitvec:
-                    st[2] += min(SOURCE_ID_BYTES * c, bitvec) - min(
-                        SOURCE_ID_BYTES * (c - 1), bitvec
-                    )
-            return [
-                (pk_ // H, pk_ % H, st[0], st[1], st[2])
-                for pk_, st in sorted(agg.items())
-            ]
-        pkey = snd * H + dest
-        # Group once by (pair, vertex) to get per-vertex item counts,
-        # then by pair for the message-level aggregates — one sort plus
-        # boundary scans (both group keys are prefixes of the sort key).
-        ks = np.sort(pkey * n + gids)
-        flag = np.empty(ks.size, dtype=bool)
-        flag[0] = True
-        np.not_equal(ks[1:], ks[:-1], out=flag[1:])
-        starts = np.nonzero(flag)[0]
-        vcounts = np.empty(starts.size, dtype=np.int64)
-        np.subtract(starts[1:], starts[:-1], out=vcounts[:-1])
-        vcounts[-1] = ks.size - starts[-1]
-        pk = ks[starts] // n
-        chg = np.ones(pk.size, dtype=bool)
-        chg[1:] = pk[1:] != pk[:-1]
-        upairs = pk[chg]
-        pinv = np.cumsum(chg) - 1
-        n_vertices = np.bincount(pinv, minlength=upairs.size)
-        n_items = np.bincount(
-            pinv, weights=vcounts, minlength=upairs.size
-        ).astype(np.int64, copy=False)
+        gids, off = inbox.gids, inbox.off
+        m = gids.size
+        # Start flags over m + 1 positions: the last one, set through
+        # off[-1] == m, closes the final segment and run.
+        seg = np.empty(m + 1, dtype=bool)
+        np.not_equal(snd[1:], snd[:-1], out=seg[1:m])
+        seg[off] = True
+        run = seg.copy()
+        run[1:m] |= gids[1:] != gids[:-1]
+        seg_at = np.flatnonzero(seg)
+        run_at = np.flatnonzero(run)
+        runs_before = np.searchsorted(run_at, seg_at)
+        first = seg_at[:-1]
+        cols = np.zeros((5, first.size), dtype=np.int64)
+        snd.take(first, out=cols[0])
+        # A segment's receiver: the receiver parts ending at or before it.
+        cols[1] = np.searchsorted(off[1:], first, side="right")
+        np.subtract(seg_at[1:], first, out=cols[2])
+        np.subtract(runs_before[1:], runs_before[:-1], out=cols[3])
         if batch_width > 1:
-            per_vertex_bitvec = (batch_width + 7) // 8
-            sm = np.minimum(SOURCE_ID_BYTES * vcounts, per_vertex_bitvec)
-            source_meta = np.bincount(
-                pinv, weights=sm, minlength=upairs.size
-            ).astype(np.int64, copy=False)
-        else:
-            source_meta = np.zeros(upairs.size, dtype=np.int64)
-        return list(
-            zip(
-                (upairs // H).tolist(),
-                (upairs % H).tolist(),
-                n_items.tolist(),
-                n_vertices.tolist(),
-                source_meta.tolist(),
+            # Prefix sums of the per-run term, differenced per segment.
+            meta = np.zeros(run_at.size, dtype=np.int64)
+            np.minimum(
+                SOURCE_ID_BYTES * np.diff(run_at), (batch_width + 7) // 8,
+                out=meta[1:],
             )
-        )
+            np.cumsum(meta, out=meta)
+            np.subtract(
+                meta.take(runs_before[1:]), meta.take(runs_before[:-1]),
+                out=cols[4],
+            )
+        return cols[:, np.argsort(cols[0], kind="stable")].tolist()
 
     @staticmethod
     def _route(dest, num_hosts) -> tuple[np.ndarray, np.ndarray]:
@@ -264,20 +244,21 @@ class GluonArrayPlane(MessagePlane):
             return self._reduce_via_substrate(ex, payload_bytes, batch_width, rs)
         if not len(ex):
             self.substrate.account_column_pairs(
-                (), payload_bytes, batch_width, rs, op="reduce"
+                _NO_PAIRS, payload_bytes, rs, op="reduce"
             )
             return Exchange.empty(self.num_hosts)
         gids = ex.gids
-        snd = ex.hosts()
-        dest = self.pg.master_of.take(gids)
+        inbox = self._split_by_dest(
+            gids, self.pg.master_of.take(gids), (ex.hosts(), *ex.cols),
+            self.num_hosts,
+        )
         self.substrate.account_column_pairs(
-            self._pair_stats(snd, dest, gids, batch_width),
+            self._pair_stats(inbox.cols[0], inbox, batch_width),
             payload_bytes,
-            batch_width,
             rs,
             op="reduce",
         )
-        return self._split_by_dest(gids, dest, (snd, *ex.cols), self.num_hosts)
+        return inbox
 
     def broadcast_from_masters(
         self, ex: Exchange, targets, payload_bytes, batch_width, rs
@@ -299,25 +280,25 @@ class GluonArrayPlane(MessagePlane):
             )
         if not len(ex):
             self.substrate.account_column_pairs(
-                (), payload_bytes, batch_width, rs, op="broadcast"
+                _NO_PAIRS, payload_bytes, rs, op="broadcast"
             )
             return Exchange.empty(self.num_hosts)
         # One expansion over the stacked senders, in sender order — the
         # item sequence of a per-host loop — then one gather per column
         # through the routed order.
         item_of, dest = expand_csr(offsets, hosts, ex.gids)
-        dest = dest.astype(np.int64, copy=False)
-        snd = ex.hosts().take(item_of)
+        order, off = self._route(dest, self.num_hosts)
+        sel = item_of.take(order)
+        inbox = Exchange(
+            ex.gids.take(sel), tuple(c.take(sel) for c in ex.cols), off
+        )
         self.substrate.account_column_pairs(
-            self._pair_stats(snd, dest, ex.gids.take(item_of), batch_width),
+            self._pair_stats(ex.hosts().take(sel), inbox, batch_width),
             payload_bytes,
-            batch_width,
             rs,
             op="broadcast",
         )
-        order, off = self._route(dest, self.num_hosts)
-        sel = item_of.take(order)
-        return Exchange(ex.gids.take(sel), tuple(c.take(sel) for c in ex.cols), off)
+        return inbox
 
     # -- resilience fallback (guarded tuple substrate) ---------------------
 

@@ -109,25 +109,31 @@ class Bitset:
         bits = np.unpackbits(self._words.view(np.uint8), bitorder="little")
         return np.nonzero(bits)[0].astype(np.int64)
 
-    def set_many(self, indices: np.ndarray) -> None:
-        """Set every bit named in ``indices`` (duplicates allowed)."""
+    def _mask_words(self, indices: np.ndarray) -> np.ndarray | None:
+        """The words with exactly the bits named in ``indices`` set
+        (duplicates allowed), or None when there are none: a bool
+        scratch over the capacity, packed little-endian into words."""
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
-            return
-        if idx.min() < 0 or idx.max() >= self._capacity:
+            return None
+        # One range check: a negative index reads as a huge unsigned one.
+        if idx.view(np.uint64).max() >= self._capacity:
             raise IndexError("bit index out of range")
-        masks = np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
-        np.bitwise_or.at(self._words, idx >> 6, masks)
+        flags = np.zeros(self._words.size * _WORD_BITS, dtype=bool)
+        flags[idx] = True
+        return np.packbits(flags, bitorder="little").view(np.uint64)
+
+    def set_many(self, indices: np.ndarray) -> None:
+        """Set every bit named in ``indices`` (duplicates allowed)."""
+        mask = self._mask_words(indices)
+        if mask is not None:
+            np.bitwise_or(self._words, mask, out=self._words)
 
     def clear_many(self, indices: np.ndarray) -> None:
         """Clear every bit named in ``indices`` (duplicates allowed)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size == 0:
-            return
-        if idx.min() < 0 or idx.max() >= self._capacity:
-            raise IndexError("bit index out of range")
-        masks = ~np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
-        np.bitwise_and.at(self._words, idx >> 6, masks)
+        mask = self._mask_words(indices)
+        if mask is not None:
+            np.bitwise_and(self._words, ~mask, out=self._words)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices().tolist())

@@ -8,6 +8,7 @@ reproduce each source's shortest-path DAG exactly — its distances and
 its path counts σ — not only the BC sums built from them."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,24 +85,36 @@ class TestMRBCProperties:
         res = mrbc_congest(g, sources=srcs)
         assert np.allclose(res.bc, brandes_bc(g, sources=srcs), atol=1e-9)
 
-    @given(
-        digraph_with_sources(),
-        st.integers(1, 4),
-        st.integers(1, 3),
-        st.booleans(),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_engine_bc_matches_brandes(self, gs, batch, hosts, delayed_sync):
-        g, srcs = gs
+    @given(dense_digraphs(), st.integers(1, 4), st.integers(1, 3),
+           st.booleans(), st.sampled_from(["oec", "iec", "cvc", "random"]),
+           st.data())
+    @settings(deadline=None)
+    def test_engine_bc_matches_brandes(
+        self, g, batch, hosts, delayed_sync, policy, data
+    ):
+        """MRBC against Brandes on dense graphs, where σ sums over
+        several equal-length paths, with the single vertex and edgeless
+        graphs included: batch 1–4, hosts 1–3, each partition policy,
+        delayed or eager sync, any unique source set."""
+        n = g.num_vertices
+        srcs = sorted(data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+            label="sources",
+        ))
+        kw = {"seed": data.draw(st.integers(0, 2**31 - 1), label="seed")} \
+            if policy == "random" else {}
+        pg = partition_graph(g, hosts, policy, **kw)
         res = mrbc_engine(
-            g, sources=srcs, batch_size=batch, num_hosts=hosts,
+            g, sources=srcs, batch_size=batch, partition=pg,
             delayed_sync=delayed_sync,
         )
-        assert np.allclose(res.bc, brandes_bc(g, sources=srcs), atol=1e-9)
         for i, s in enumerate(srcs):
             dist, sigma, _preds, _order = brandes_sssp(g, s)
             assert np.array_equal(res.dist[i], dist)
             assert np.array_equal(res.sigma[i], sigma)
+        np.testing.assert_allclose(
+            res.bc, brandes_bc(g, sources=srcs), rtol=1e-9, atol=0
+        )
 
     @given(digraph_with_sources())
     @settings(max_examples=40, deadline=None)
@@ -188,6 +201,38 @@ class TestBitsetModel:
         assert bs.indices().tolist() == sorted(model)
         assert bs.count() == len(model)
         assert bs.any() == bool(model)
+
+    @given(st.integers(1, 300), st.data())
+    @settings(max_examples=60)
+    def test_bulk_ops_against_python_set(self, cap, data):
+        """``set_many``/``clear_many`` batches, duplicates and both ends
+        of the range included, against a Python set."""
+        index = st.one_of(st.integers(0, cap - 1), st.sampled_from([0, cap - 1]))
+        bs = Bitset(cap)
+        model: set[int] = set()
+        for op in data.draw(st.lists(st.booleans(), max_size=6), label="ops"):
+            batch = data.draw(st.lists(index, max_size=40), label="batch")
+            if op:
+                bs.set_many(np.asarray(batch, dtype=np.int64))
+                model.update(batch)
+            else:
+                bs.clear_many(np.asarray(batch, dtype=np.int64))
+                model.difference_update(batch)
+            assert bs.indices().tolist() == sorted(model)
+        assert bs.count() == len(model)
+
+    @given(st.integers(1, 300), st.sampled_from(["set_many", "clear_many"]),
+           st.booleans(), st.data())
+    @settings(max_examples=40)
+    def test_bulk_ops_reject_out_of_range(self, cap, op, below, data):
+        """An index past either end raises and leaves the bits as they were."""
+        bs = Bitset.from_indices(cap, [0, cap - 1])
+        bad = -1 - data.draw(st.integers(0, 5)) if below \
+            else cap + data.draw(st.integers(0, 70))
+        good = data.draw(st.lists(st.integers(0, cap - 1), max_size=5))
+        with pytest.raises(IndexError):
+            getattr(bs, op)(np.asarray([*good, bad], dtype=np.int64))
+        assert bs.indices().tolist() == sorted({0, cap - 1})
 
     @given(st.integers(1, 150), st.data())
     @settings(max_examples=40)
