@@ -57,7 +57,6 @@ from repro.runtime.arrays import (
     Exchange,
     HostArena,
     MasterColumns,
-    RowStateView,
     expand_csr,
     sorted_unique,
 )
@@ -76,40 +75,6 @@ INF = np.iinfo(np.int32).max
 FWD_PAYLOAD_BYTES = 12
 #: Backward payload: dependency coefficient (8B) + dist (4B).
 BWD_PAYLOAD_BYTES = 12
-
-
-class MasterVertexState:
-    """Row form of one master's authoritative ``L_v`` state.
-
-    The engine keeps master state in
-    :class:`~repro.runtime.arrays.MasterColumns`; this row form is what
-    forward checkpoints store and the resilience invariant checker reads
-    (``MasterColumns.to_rows``/``from_rows`` convert).  Per batch source
-    index ``si``:
-
-    - ``entries`` — the sorted ``(d, si)`` list; the first
-      ``sent_prefix`` entries have fired;
-    - ``contrib[si][h]`` — host ``h``'s best local candidate
-      ``(d_h, σ_h)``, where ``σ_h`` sums shortest paths arriving over
-      ``h``-local in-edges (a batch source's own seed ``(0, 1)`` is the
-      virtual host −1, listed first, then hosts ascending).  Only hosts
-      holding a proxy of the vertex report it; the columnar store keeps
-      each report on that proxy's arena row;
-    - ``best[si]`` — the authoritative ``(d*, σ*)`` with
-      ``d* = min_h d_h`` and ``σ* = Σ_{h: d_h = d*} σ_h`` — every in-edge
-      of the vertex lives on exactly one host, so this counts each
-      predecessor contribution once;
-    - ``tau[si]`` — the round the entry fired, ``d + position + 1``.
-    """
-
-    __slots__ = ("entries", "best", "contrib", "tau", "sent_prefix")
-
-    def __init__(self) -> None:
-        self.entries: list[tuple[int, int]] = []  # sorted (d, source_idx)
-        self.best: dict[int, tuple[int, float]] = {}
-        self.contrib: dict[int, dict[int, tuple[int, float]]] = {}
-        self.tau: dict[int, int] = {}
-        self.sent_prefix = 0
 
 
 @dataclass
@@ -235,9 +200,9 @@ class _ArrayBatchExecutor:
         per-host stale filter touches only each sender's own past
         report, and (sender, si, gid) keys are unique within a
         fault-free round, so a scatter write is exact; the
-        authoritative ``(d*, σ*)`` (see :class:`MasterVertexState`) is
-        then recomputed once per touched cell, a pure function of the
-        stored reports (``MasterColumns.authoritative``).  A report from
+        authoritative ``(d*, σ*)`` is then recomputed once per touched
+        cell, a pure function of the stored reports
+        (``MasterColumns.authoritative``).  A report from
         a host without a proxy of the vertex raises ``ValueError``.  A
         fired entry must never change: all of its σ contributions arrive
         before its fire round.  An unfired entry's d* never grows either
@@ -661,7 +626,7 @@ class _ArrayBatchExecutor:
             fires, fired_total, any_pending = self._emit_fires(rnd, rs)
 
             if self.checker is not None:
-                self.checker.check_master_round(rnd, self.masters.to_rows())
+                self.checker.check_master_round(rnd, self.masters)
 
             if rledger is not None:
                 M = self.masters
@@ -852,24 +817,6 @@ class _ArrayBatchExecutor:
             row = np.where(registered, self.delta[si], 0.0)
             row[int(self.batch[si])] = 0.0
             bc += row
-
-    def to_rows(self) -> RowStateView:
-        """Row-shaped view for checkpoints and invariant checks."""
-        return RowStateView(
-            masters=self.masters.to_rows(),
-            hosts=[self.arena.host_view(h) for h in range(self.H)],
-            batch=self.batch,
-        )
-
-    def from_rows(self, masters, arrays) -> None:
-        """Load a row-shaped forward snapshot (checkpoint restore)."""
-        self.masters = MasterColumns(self.k, self.n, self.arena)
-        self.masters.from_rows(masters)
-        self.delta = None
-        for h in range(self.H):
-            view = self.arena.host_view(h)
-            view.fin_dist[:] = arrays[f"fin_dist_{h}"]
-            view.fin_sigma[:] = arrays[f"fin_sigma_{h}"]
 
 
 def mrbc_engine(

@@ -6,9 +6,10 @@ by default and persists them through :mod:`repro.engine.persist` (the
 ``.npz`` layer the run statistics already use) when given a directory —
 the artifact-appendix workflow extended to mid-run state.
 
-The MRBC-specific snapshot helpers capture exactly the master-authorita-
-tive state the backward pass reads (``L_v`` best labels, fire timestamps
-``τ``, per-host finalized ``(d, σ)`` arrays), so a crash between the
+The MRBC-specific snapshot helpers capture the master-authoritative
+state as arrays — the :class:`~repro.runtime.arrays.MasterColumns` state
+columns (schedule entries, σ*, fire timestamps ``τ``, the hosts'
+reports) and the arena's finalized ``(d, σ)`` — so a crash between the
 forward and backward phases replays only the backward rounds and the
 recovered BC is bit-identical to a fault-free run.
 
@@ -211,41 +212,28 @@ class CheckpointStore:
 # -- MRBC batch-executor snapshots -----------------------------------------------
 
 
+def _forward_arrays(ex: "_ArrayBatchExecutor") -> dict[str, np.ndarray]:
+    """The executor's live arrays a forward checkpoint holds, by name:
+    the master's state columns and the arena's finalized arrays."""
+    M, A = ex.masters, ex.arena
+    arrays = {name: getattr(M, name) for name in M.STATE}
+    # Checkpoints deliberately capture proxies *as-is*, provisional or
+    # final — restore puts back the identical bytes, so the delayed-sync
+    # contract is preserved across a recovery, not re-established.
+    arrays["fin_dist"] = A.fin_dist  # repro-lint: disable=RL301
+    arrays["fin_sigma"] = A.fin_sigma  # repro-lint: disable=RL301
+    return arrays
+
+
 def mrbc_forward_snapshot(
     ex: "_ArrayBatchExecutor",
 ) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-    """Capture a batch executor's post-forward state for backward replay.
-
-    The snapshot is the row form of the executor's ``to_rows()`` view:
-    one ``MasterVertexState`` record per master in registration order,
-    plus each host's finalized arrays.
+    """Capture a batch executor's post-forward state for backward replay:
+    ``meta`` names the source batch, and the arrays are copies of the
+    master's state columns and the arena's ``fin_dist``/``fin_sigma``.
     """
-    view = ex.to_rows()
-    masters: dict[str, Any] = {}
-    for gid, ms in view.masters.items():
-        masters[str(gid)] = {
-            "entries": [[int(d), int(si)] for d, si in ms.entries],
-            "best": {str(si): [int(d), float(sg)] for si, (d, sg) in ms.best.items()},
-            "tau": {str(si): int(t) for si, t in ms.tau.items()},
-            "sent_prefix": int(ms.sent_prefix),
-            "contrib": {
-                str(si): {str(h): [int(d), float(sg)] for h, (d, sg) in per.items()}
-                for si, per in ms.contrib.items()
-            },
-        }
-    meta = {
-        "kind": "mrbc-forward",
-        "batch": [int(s) for s in view.batch.tolist()],
-        "masters": masters,
-    }
-    arrays: dict[str, np.ndarray] = {}
-    for h, st in enumerate(view.hosts):
-        # Checkpoints deliberately capture proxies *as-is*, provisional or
-        # final — restore puts back the identical bytes, so the delayed-sync
-        # contract is preserved across a recovery, not re-established.
-        arrays[f"fin_dist_{h}"] = st.fin_dist.copy()  # repro-lint: disable=RL301
-        arrays[f"fin_sigma_{h}"] = st.fin_sigma.copy()  # repro-lint: disable=RL301
-    return meta, arrays
+    meta = {"kind": "mrbc-forward", "batch": [int(s) for s in ex.batch.tolist()]}
+    return meta, {name: a.copy() for name, a in _forward_arrays(ex).items()}
 
 
 def restore_mrbc_forward(
@@ -253,23 +241,29 @@ def restore_mrbc_forward(
     meta: dict[str, Any],
     arrays: dict[str, np.ndarray],
 ) -> None:
-    """Load a forward snapshot into a freshly built batch executor."""
-    from repro.core.mrbc import MasterVertexState
+    """Load a forward snapshot into a freshly built batch executor.
 
+    A snapshot can come from disk, so every array is checked for
+    presence, shape and dtype against the executor before any is
+    written; a mismatch raises :class:`ValueError`.  The master's
+    creation order, schedule heads and unfired counts are then rebuilt
+    from the columns, and the backward phase's δ is reset.
+    """
     if meta.get("kind") != "mrbc-forward":
         raise ValueError(f"not an MRBC forward checkpoint: {meta.get('kind')!r}")
     if [int(s) for s in ex.batch.tolist()] != list(meta["batch"]):
         raise ValueError("checkpoint was taken for a different source batch")
-    masters: dict[int, MasterVertexState] = {}
-    for gid_s, rec in meta["masters"].items():
-        ms = MasterVertexState()
-        ms.entries = [(int(d), int(si)) for d, si in rec["entries"]]
-        ms.best = {int(si): (int(d), float(sg)) for si, (d, sg) in rec["best"].items()}
-        ms.tau = {int(si): int(t) for si, t in rec["tau"].items()}
-        ms.sent_prefix = int(rec["sent_prefix"])
-        ms.contrib = {
-            int(si): {int(h): (int(d), float(sg)) for h, (d, sg) in per.items()}
-            for si, per in rec["contrib"].items()
-        }
-        masters[int(gid_s)] = ms
-    ex.from_rows(masters, arrays)
+    live = _forward_arrays(ex)
+    for name, want in live.items():
+        if name not in arrays:
+            raise ValueError(f"checkpoint lacks the {name!r} array")
+        got = np.asarray(arrays[name])
+        if got.shape != want.shape or got.dtype != want.dtype:
+            raise ValueError(
+                f"checkpoint array {name!r} is {got.dtype}{list(got.shape)}, "
+                f"the executor holds {want.dtype}{list(want.shape)}"
+            )
+    for name, want in live.items():
+        want[...] = arrays[name]
+    ex.masters.rebuild_derived()
+    ex.delta = None

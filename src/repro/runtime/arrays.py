@@ -7,32 +7,26 @@ on the :class:`~repro.runtime.plane.GluonArrayPlane`: every host's
 items stacked host by host as a struct of arrays, instead of a list of
 tuples per host.
 
-Explicit converters bridge to the row representations other layers use:
-
-- :meth:`MasterColumns.to_rows` / :meth:`MasterColumns.from_rows`
-  translate between the columnar master state and a
-  ``{gid: MasterVertexState}`` map (checkpoints store that row form, and
-  the resilience invariant checker reads it);
-- :meth:`Exchange.to_parts` / :meth:`Exchange.from_parts` translate
-  exchange payloads per host part (:meth:`ColumnBlock.to_tuples` /
-  :meth:`ColumnBlock.from_tuples`), which is how the array plane routes
-  through the guarded tuple substrate under a fault plan.
+One explicit converter pair bridges to the tuple substrate:
+:meth:`Exchange.to_parts` / :meth:`Exchange.from_parts` translate
+exchange payloads per host part (:meth:`ColumnBlock.to_tuples` /
+:meth:`ColumnBlock.from_tuples`), which is how the array plane routes
+through the guarded tuple substrate under a fault plan.  The master
+state has one form, :class:`MasterColumns`: forward checkpoints store
+its arrays and the resilience invariant checker reads them in place.
 
 Iteration-order contract: master creation order is explicit state
 (``master_seq``), and every order-sensitive sweep (fire emission,
-backward schedule, BC banking, snapshots) follows it.
+backward schedule, BC banking) follows it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
 from repro.utils.bitset import Bitset
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.mrbc import MasterVertexState
 
 #: "Infinite" distance sentinel (identical to the engines' ``INF``).
 INF = np.iinfo(np.int32).max
@@ -361,48 +355,15 @@ class HostArena:
         so the host offsets are where the arena's own fall in ``rows``."""
         return Exchange(self.gids.take(rows), cols, np.searchsorted(rows, self.off))
 
-    def rows_of(self, h: int) -> slice:
-        """Arena row range belonging to host ``h``."""
-        return slice(int(self.off[h]), int(self.off[h + 1]))
-
-    def host_view(self, h: int) -> "_HostRowView":
-        """Per-host view of the finalized arrays (checkpoint shape)."""
-        sl = self.rows_of(h)
-        # Checkpoint/restore seam: runs at a round boundary by contract.
-        return _HostRowView(self.fin_dist[sl], self.fin_sigma[sl])  # repro-lint: disable=RL301
-
-
-class RowStateView:
-    """Row-shaped view of a batch executor (its ``to_rows()`` result).
-
-    What checkpoints and the invariant checker read: ``masters`` is a
-    ``{gid: MasterVertexState}`` map in creation order, ``hosts`` exposes
-    the per-host finalized arrays, ``batch`` is the source batch.
-    """
-
-    __slots__ = ("masters", "hosts", "batch")
-
-    def __init__(self, masters: dict, hosts: list, batch: np.ndarray) -> None:
-        self.masters = masters
-        self.hosts = hosts
-        self.batch = batch
-
-
-class _HostRowView:
-    __slots__ = ("fin_dist", "fin_sigma")
-
-    def __init__(self, fin_dist: np.ndarray, fin_sigma: np.ndarray) -> None:
-        self.fin_dist = fin_dist
-        self.fin_sigma = fin_sigma
-
 
 class MasterColumns:
     """Authoritative master state for one batch, as dense columns.
 
-    The row form ``{gid: MasterVertexState}`` becomes:
+    Master ``gid``'s sorted ``L_v`` list, per batch source index ``si``:
 
     - ``ent_d[si, gid]`` — the schedule-entry distance (INF = absent);
-      the fired/unfired split is ``fired`` plus ``sent_prefix``;
+      the fired/unfired split is ``fired`` plus ``sent_prefix``, the
+      master's count of fired entries;
     - ``best_sigma[si, gid]`` — the authoritative σ*;
     - ``rep_d/rep_sigma[row, si]`` — host ``h``'s latest report
       ``(d_h, σ_h)`` for cell ``(si, gid)``, kept on the reporting
@@ -411,12 +372,12 @@ class MasterColumns:
       pair holds every report — the master keeps, per vertex, what its
       proxies sent, not an ``(H+1) × k × n`` table;
     - ``seed_gid/seed_d/seed_sigma[si]`` — the virtual source host's
-      report (−1 in the row form): the seed ``(0, 1)`` at batch source
-      ``seed_gid[si]``;
-    - ``tau[si, gid]`` — fire timestamps for the backward schedule;
+      report: the seed ``(0, 1)`` at batch source ``seed_gid[si]``;
+    - ``tau[si, gid]`` — fire timestamps for the backward schedule, the
+      round ``d + position + 1`` of the entry's flat-map send;
     - ``master_seq[gid]`` / ``master_order`` — creation order; every
       order-sensitive sweep (fire emission, backward schedule, BC
-      banking, snapshots) follows it.
+      banking) follows it.
 
     Per-cell state is addressed by one flat id on the 1-D views:
     ``si·n + gid`` for the ``(k, n)`` columns and ``row·k + si`` for the
@@ -434,8 +395,16 @@ class MasterColumns:
       firing master's head from its k cells;
     - ``unfired[si]`` — present, unfired entries per source.
 
-    :meth:`from_rows` rebuilds both from the dense key.
+    The columns named in :attr:`STATE` are the whole state: forward
+    checkpoints store them, and :meth:`rebuild_derived` recomputes
+    ``master_order``, ``head`` and ``unfired`` from them.
     """
+
+    #: The state columns; everything else is derived from them.
+    STATE = (
+        "ent_d", "best_sigma", "fired", "tau", "sent_prefix", "rep_d",
+        "rep_sigma", "seed_gid", "seed_d", "seed_sigma", "master_seq",
+    )
 
     def __init__(self, k: int, n: int, arena: HostArena) -> None:
         self.k = k
@@ -517,7 +486,10 @@ class MasterColumns:
         Per cell, the reports are read over the vertex's proxy rows
         (host ascending) and then the seed.  d* is their minimum (a
         segmented minimum; every vertex has at least its master's
-        row).  σ* sums the σ of the reports at d* in that order —
+        row).  A host's σ sums the shortest paths arriving over its own
+        in-edges of the vertex, and each in-edge lives on exactly one
+        host, so σ* counts every predecessor once: it sums the σ of the
+        reports at d* in that order —
         hosts ascending, virtual source last — folded by ``np.add.at``,
         so it is the sequential float sum.  A per-segment ``sum`` or
         ``np.add.reduceat`` would not be: they may reassociate, which
@@ -553,10 +525,14 @@ class MasterColumns:
         past the fired prefix (send rounds are strictly increasing along
         it, so fired entries are a prefix).  The round loop reads the
         maintained ``head`` instead; this dense form rebuilds it in
-        :meth:`from_rows` and is the tests' reference.
+        :meth:`rebuild_derived` and is the tests' reference.
         """
         act = (self.ent_d != INF) & ~self.fired
-        return np.where(act, (self.ent_d << self.si_bits) | self._si_col, BIG)
+        return np.where(act, self.packed(self.ent_d), BIG)
+
+    def packed(self, d: np.ndarray) -> np.ndarray:
+        """``(d << si_bits) | si`` for a ``(k, ·)`` block of distances."""
+        return (d << self.si_bits) | self._si_col
 
     def refresh_head(self, gids: np.ndarray) -> None:
         """Recompute ``head`` for distinct ``gids`` from their k cells."""
@@ -566,71 +542,14 @@ class MasterColumns:
             act, (sub << self.si_bits) | self._si_col, BIG
         ).min(axis=0)
 
+    def rebuild_derived(self) -> None:
+        """Recompute ``master_order``, ``head`` and ``unfired`` from the
+        :attr:`STATE` columns (the checkpoint restore path)."""
+        reg = np.nonzero(self.master_seq >= 0)[0]
+        self.master_order = reg[np.argsort(self.master_seq[reg])].tolist()
+        self.head = self.schedule_key().min(axis=0)
+        self.unfired = ((self.ent_d != INF) & ~self.fired).sum(axis=1)
+
     def order_by_seq(self, gids: np.ndarray) -> np.ndarray:
         """Permutation sorting ``gids`` into master creation order."""
         return np.argsort(self.master_seq[gids], kind="stable")
-
-    # -- row converters ----------------------------------------------------
-
-    def to_rows(self) -> "dict[int, MasterVertexState]":
-        """The row form ``{gid: MasterVertexState}`` in creation order."""
-        from repro.core.mrbc import MasterVertexState
-
-        A = self.arena
-        out: dict[int, MasterVertexState] = {}
-        for gid in self.master_order:
-            ms = MasterVertexState()
-            sis = np.nonzero(self.ent_d[:, gid] != INF)[0]
-            ms.entries = sorted(
-                (int(self.ent_d[si, gid]), int(si)) for si in sis
-            )
-            ms.best = {
-                int(si): (int(self.ent_d[si, gid]), float(self.best_sigma[si, gid]))
-                for si in sis
-            }
-            fired_sis = sis[self.fired[sis, gid]]
-            for si in fired_sis[np.argsort(self.tau[fired_sis, gid], kind="stable")]:
-                ms.tau[int(si)] = int(self.tau[si, gid])
-            ms.sent_prefix = int(self.sent_prefix[gid])
-            rows = A.proxy_rows[A.proxy_off[gid] : A.proxy_off[gid + 1]]
-            for si in sis:
-                per: dict[int, tuple[int, float]] = {}
-                if self.seed_gid[si] == gid and self.seed_d[si] != INF:
-                    per[-1] = (int(self.seed_d[si]), float(self.seed_sigma[si]))
-                for r in rows[self.rep_d[rows, si] != INF]:
-                    per[int(A.host_of[r])] = (
-                        int(self.rep_d[r, si]),
-                        float(self.rep_sigma[r, si]),
-                    )
-                if per:
-                    ms.contrib[int(si)] = per
-            out[int(gid)] = ms
-        return out
-
-    def from_rows(self, masters: "dict[int, MasterVertexState]") -> None:
-        """Load row-form master state (checkpoint restore path).
-
-        Raises :class:`ValueError` on a contribution from a host that
-        holds no proxy of the vertex (see :meth:`report_rows`).
-        """
-        for gid, ms in masters.items():
-            self.register(int(gid))
-            self.sent_prefix[gid] = ms.sent_prefix
-            for si, (d, sg) in ms.best.items():
-                self.ent_d[si, gid] = d
-                self.best_sigma[si, gid] = sg
-            for si, t in ms.tau.items():
-                self.fired[si, gid] = True
-                self.tau[si, gid] = t
-            for si, per in ms.contrib.items():
-                for h, (d, sg) in per.items():
-                    if h < 0:
-                        self.seed_gid[si] = gid
-                        self.seed_d[si] = d
-                        self.seed_sigma[si] = sg
-                    else:
-                        row = int(self.report_rows([h], [gid])[0])
-                        self.rep_d[row, si] = d
-                        self.rep_sigma[row, si] = sg
-        self.head = self.schedule_key().min(axis=0)
-        self.unfired = ((self.ent_d != INF) & ~self.fired).sum(axis=1)

@@ -8,11 +8,12 @@ from hypothesis import settings
 
 from repro.graph import generators as gen
 from repro.graph.digraph import DiGraph
+from repro.runtime.arrays import INF
 
 
 # ``--hypothesis-profile=ci`` runs a property test at a larger budget
-# (the CI step for the relax-, staging- and inbox-rule differential
-# tests); without it, hypothesis's default budget applies.
+# (the CI step for the differential and neutrality property tests);
+# without it, hypothesis's default budget applies.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
@@ -98,6 +99,13 @@ def some_sources(g: DiGraph, k: int = 6) -> list[int]:
     return list(range(0, n, step))[:k]
 
 
+def dense_schedule(M):
+    """``MasterColumns``' maintained ``(head, unfired)``, recounted from
+    the dense columns."""
+    unfired = ((M.ent_d != INF) & ~M.fired).sum(axis=1)
+    return M.schedule_key().min(axis=0), unfired
+
+
 class MasterRig:
     """One MRBC batch's master columns, driven one step at a time.
 
@@ -143,6 +151,17 @@ class MasterRig:
         blocks, _count, self.pending = self.ex._emit_fires(rnd, self.rs)
         return [t for blk in blocks if blk is not None for t in blk.to_tuples()]
 
-    def row(self, gid: int):
-        """The vertex's master state in row form (``MasterVertexState``)."""
-        return self.ex.masters.to_rows()[gid]
+    def label(self, gid: int, si: int) -> tuple[int, float]:
+        """The master's authoritative ``(d*, σ*)`` for cell ``(si, gid)``."""
+        M = self.ex.masters
+        return int(M.ent_d[si, gid]), float(M.best_sigma[si, gid])
+
+    def entries(self, gid: int) -> list[tuple[int, int]]:
+        """The master's sorted ``(d, si)`` list, read off its column."""
+        col = self.ex.masters.ent_d[:, gid]
+        return sorted((int(col[si]), si) for si in np.nonzero(col != INF)[0].tolist())
+
+    def taus(self, gid: int) -> dict[int, int]:
+        """``{si: τ}`` over the master's fired cells."""
+        M = self.ex.masters
+        return {si: int(M.tau[si, gid]) for si in np.nonzero(M.fired[:, gid])[0].tolist()}

@@ -101,7 +101,10 @@ class TestDelayedSync:
         assert delayed.run.total_items_synced < eager.run.total_items_synced
 
 
-class TestMasterVertexState:
+class TestMasterColumns:
+    """The master-side steps of a round on ``MasterColumns``: reports
+    merge into ``(d*, σ*)``, and the send rule fires the list in order."""
+
     def test_source_seeding_fires_round_one(self):
         rig = MasterRig(batch=[3])
         assert rig.fire(1) == [(3, 0, 0, 1.0)]
@@ -111,20 +114,20 @@ class TestMasterVertexState:
         rig = MasterRig(batch=[0])
         rig.contribute(5, 0, host=1, d=2, sigma=3.0)
         rig.contribute(5, 0, host=2, d=2, sigma=4.0)
-        assert rig.row(5).best[0] == (2, 7.0)
+        assert rig.label(5, 0) == (2, 7.0)
 
     def test_shorter_distance_replaces(self):
         rig = MasterRig(batch=[0])
         rig.contribute(5, 0, host=1, d=3, sigma=5.0)
         rig.contribute(5, 0, host=2, d=2, sigma=1.0)
-        assert rig.row(5).best[0] == (2, 1.0)
-        assert rig.row(5).entries == [(2, 0)]
+        assert rig.label(5, 0) == (2, 1.0)
+        assert rig.entries(5) == [(2, 0)]
 
     def test_stale_host_report_ignored(self):
         rig = MasterRig(batch=[0])
         rig.contribute(5, 0, host=1, d=2, sigma=1.0)
         rig.contribute(5, 0, host=1, d=5, sigma=9.0)
-        assert rig.row(5).best[0] == (2, 1.0)
+        assert rig.label(5, 0) == (2, 1.0)
 
     def test_fire_schedule_positions(self):
         rig = MasterRig(batch=[0, 1])
@@ -133,7 +136,7 @@ class TestMasterVertexState:
         assert all(gid != 5 for gid, *_ in rig.fire(1))
         assert rig.fire(2) == [(5, 0, 1, 1.0)]
         assert rig.fire(3) == [(5, 1, 1, 1.0)]
-        assert rig.row(5).tau == {0: 2, 1: 3}
+        assert rig.taus(5) == {0: 2, 1: 3}
 
     def test_report_from_host_without_proxy_raises(self):
         rig = MasterRig(batch=[0])
@@ -141,7 +144,7 @@ class TestMasterVertexState:
         with pytest.raises(ValueError, match=r"without a proxy.*\(0, 5\)"):
             rig.contribute(5, 0, host=0, d=1, sigma=1.0)
         # Rejected before any write: no master, no stored report.
-        assert 5 not in rig.ex.masters.to_rows()
+        assert 5 not in rig.ex.masters.master_order
         assert (rig.ex.masters.rep_d == INF).all()
 
 

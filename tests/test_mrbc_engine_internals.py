@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.baselines.brandes import brandes_bc
-from repro.core.mrbc import INF, MasterVertexState, _ArrayBatchExecutor, mrbc_engine
+from repro.core.mrbc import INF, _ArrayBatchExecutor, mrbc_engine
 from repro.engine.partition import partition_graph
 from repro.engine.stats import EngineRun
 from repro.graph import generators as gen
@@ -23,6 +23,7 @@ from repro.resilience.context import ResilienceContext
 from repro.resilience.plan import FaultPlan, FaultSpec, get_plan
 from repro.runtime.arrays import BIG, ColumnBlock, Exchange, MasterColumns
 from repro.runtime.plane import GluonArrayPlane
+from tests.conftest import dense_schedule
 
 
 def make_executor(g, batch, H=2, delayed=True):
@@ -516,38 +517,30 @@ class DenseInboxReference:
     def unfired(self):
         return ((self.ent_d != INF) & ~self.fired).sum(axis=1)
 
-    def rows(self):
-        """The row form, as comparable tuples (contrib key order kept)."""
-        out = {}
-        for gid in self.order:
-            sis = np.nonzero(self.ent_d[:, gid] != INF)[0].tolist()
-            contrib = {}
-            for si in sis:
-                per = []
-                for r in [self.H, *range(self.H)]:
-                    if self.cd[r, si, gid] != INF:
-                        per.append((-1 if r == self.H else r, (
-                            int(self.cd[r, si, gid]), float(self.cs[r, si, gid])
-                        )))
-                if per:
-                    contrib[si] = per
-            out[gid] = (
-                sorted((int(self.ent_d[si, gid]), si) for si in sis),
-                {si: (int(self.ent_d[si, gid]), float(self.best_sigma[si, gid]))
-                 for si in sis},
-                {si: 1 for si in sis if self.fired[si, gid]},
-                int(self.fired[:, gid].sum()),
-                contrib,
-            )
-        return out
+
+def dense_reports(M, H):
+    """The master's stored reports as ``(H+1) × k × n`` tables in
+    :class:`DenseInboxReference`'s layout: host ``h`` at ``[h]``, the
+    seed at ``[H]``."""
+    A = M.arena
+    cd = np.full((H + 1, M.k, M.n), INF, dtype=np.int64)
+    cs = np.zeros((H + 1, M.k, M.n))
+    at = (A.host_of[:, None], np.arange(M.k), A.gids[:, None])
+    cd[at] = M.rep_d
+    cs[at] = M.rep_sigma
+    si = np.nonzero(M.seed_gid >= 0)[0]
+    cd[H, si, M.seed_gid[si]] = M.seed_d[si]
+    cs[H, si, M.seed_gid[si]] = M.seed_sigma[si]
+    return cd, cs
 
 
-def comparable_rows(masters):
-    return {
-        gid: (ms.entries, ms.best, ms.tau, ms.sent_prefix,
-              {si: list(per.items()) for si, per in ms.contrib.items()})
-        for gid, ms in masters.items()
-    }
+def reporters(M, gid, si):
+    """The hosts whose report of cell ``(si, gid)`` the master holds, in
+    the order σ* folds them: hosts ascending, then the seed (−1)."""
+    A = M.arena
+    rows = A.proxy_rows[A.proxy_off[gid]:A.proxy_off[gid + 1]]
+    hosts = A.host_of[rows[M.rep_d[rows, si] != INF]].tolist()
+    return hosts + ([-1] if M.seed_gid[si] == gid else [])
 
 
 class TestInboxRules:
@@ -644,13 +637,12 @@ class TestInboxRules:
             assert np.array_equal(M.fired, ref.fired)
             assert np.array_equal(M.head, ref.head(M.si_bits))
             assert np.array_equal(M.unfired, ref.unfired())
-            rows = M.to_rows()
-            assert list(rows) == ref.order
-            assert comparable_rows(rows) == ref.rows()
-            rebuilt = MasterColumns(k, n, ex.arena)
-            rebuilt.from_rows(rows)
-            for col in ("rep_d", "rep_sigma", "seed_gid", "seed_d", "seed_sigma"):
-                assert np.array_equal(getattr(rebuilt, col), getattr(M, col)), col
+            assert np.array_equal(M.sent_prefix, ref.fired.sum(axis=0))
+            assert np.array_equal(M.tau, ref.fired.astype(np.int64))
+            assert M.master_order == ref.order
+            cd, cs = dense_reports(M, H)
+            assert np.array_equal(cd, ref.cd)
+            assert np.array_equal(cs.view(np.int64), ref.cs.view(np.int64))
 
     def test_sigma_star_folds_hosts_in_order(self):
         # All 10 hosts report vertex 0 at d* = 1, in reverse host order.
@@ -673,7 +665,7 @@ class TestInboxRules:
         inbox = Exchange.from_parts(parts, (np.int64, np.int64, np.int64, np.float64))
         ex._apply_forward_inbox(inbox, ex.run.new_round("forward"))
         assert ex.masters.best_sigma[0, 0] == 2.0**53
-        assert list(ex.masters.to_rows()[0].contrib[0]) == list(range(H))
+        assert reporters(ex.masters, 0, 0) == list(range(H))
 
     def test_sigma_star_folds_hosts_in_order_then_seed(self):
         # A source cell that hosts 1 and 2 also report at distance 0:
@@ -687,19 +679,7 @@ class TestInboxRules:
         inbox = Exchange.from_parts(parts, (np.int64, np.int64, np.int64, np.float64))
         ex._apply_forward_inbox(inbox, ex.run.new_round("forward"))
         assert ex.masters.best_sigma[0, 5] == 2.0**53
-        assert list(ex.masters.to_rows()[5].contrib[0]) == [-1, 1, 2]
-
-    def test_row_form_report_from_host_without_proxy_raises(self):
-        ex = make_executor(gen.path_graph(8, bidirectional=True), [0], H=3)
-        rows = ex.masters.to_rows()
-        assert ex.arena.lut[0, 5] < 0
-        ms = MasterVertexState()
-        ms.best = {0: (1, 1.0)}
-        ms.entries = [(1, 0)]
-        ms.contrib = {0: {0: (1, 1.0)}}
-        rows[5] = ms
-        with pytest.raises(ValueError, match="without a proxy"):
-            MasterColumns(1, 8, ex.arena).from_rows(rows)
+        assert reporters(ex.masters, 5, 0) == [1, 2, -1]
 
 
 class TestOneLiveBatch:
@@ -786,12 +766,6 @@ class TestEagerVsDelayedEquivalence:
         assert a.forward_rounds == b.forward_rounds
 
 
-def dense_schedule(M):
-    """The maintained schedule state, recounted from the dense columns."""
-    unfired = ((M.ent_d != INF) & ~M.fired).sum(axis=1)
-    return M.schedule_key().min(axis=0), unfired
-
-
 def assert_heads_decode(M):
     """Each maintained ``head`` decodes by shifts to the lexicographic
     minimum ``(d, si)`` over its master's unfired present cells."""
@@ -812,8 +786,13 @@ def assert_schedule_current(M):
     head, unfired = dense_schedule(M)
     assert np.array_equal(M.head, head)
     assert np.array_equal(M.unfired, unfired)
+    # The checkpoint restore path: the same derived state from the
+    # state columns alone.
     rebuilt = MasterColumns(M.k, M.n, M.arena)
-    rebuilt.from_rows(M.to_rows())
+    for name in M.STATE:
+        getattr(rebuilt, name)[...] = getattr(M, name)
+    rebuilt.rebuild_derived()
+    assert rebuilt.master_order == M.master_order
     assert np.array_equal(rebuilt.head, head)
     assert np.array_equal(rebuilt.unfired, unfired)
 

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from repro.baselines.brandes import brandes_bc, brandes_sssp
 from repro.baselines.sbbc import sbbc_engine
 from repro.core.mrbc import mrbc_engine
-from repro.core.mrbc_congest import directed_apsp, mrbc_congest
+from repro.core.mrbc_congest import directed_apsp, mrbc_congest, mrbc_congest_batched
 from repro.engine.partition import partition_graph
 from repro.graph.digraph import DiGraph
+from repro.resilience import ResilienceContext
 from repro.utils.bitset import Bitset
 from repro.utils.flatmap import FlatMap
 
@@ -112,6 +113,63 @@ class TestMRBCProperties:
             dist, sigma, _preds, _order = brandes_sssp(g, s)
             assert np.array_equal(res.dist[i], dist)
             assert np.array_equal(res.sigma[i], sigma)
+        np.testing.assert_allclose(
+            res.bc, brandes_bc(g, sources=srcs), rtol=1e-9, atol=0
+        )
+
+    @given(dense_digraphs(), st.integers(1, 4), st.integers(1, 3),
+           st.booleans(), st.sampled_from(["oec", "iec", "cvc", "random"]),
+           st.sampled_from(["detect", "repair"]), st.data())
+    @settings(deadline=None)
+    def test_resilience_context_is_neutral(
+        self, g, batch, hosts, delayed_sync, policy, mode, data
+    ):
+        """With no fault plan, a ``ResilienceContext`` in either checking
+        mode changes nothing: dist, σ and BC bits and the deterministic
+        signature equal the fault-free run's, and no round invariant is
+        reported violated."""
+        n = g.num_vertices
+        srcs = sorted(data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+            label="sources",
+        ))
+        kw = {"seed": data.draw(st.integers(0, 2**31 - 1), label="seed")} \
+            if policy == "random" else {}
+        pg = partition_graph(g, hosts, policy, **kw)
+        run = dict(
+            sources=srcs, batch_size=batch, partition=pg,
+            delayed_sync=delayed_sync,
+        )
+        clean = mrbc_engine(g, **run)
+        ctx = ResilienceContext(mode=mode)
+        res = mrbc_engine(g, resilience=ctx, **run)
+        assert np.array_equal(res.dist, clean.dist)
+        assert np.array_equal(res.sigma.view(np.int64), clean.sigma.view(np.int64))
+        assert np.array_equal(res.bc.view(np.int64), clean.bc.view(np.int64))
+        assert (
+            res.run.deterministic_signature()
+            == clean.run.deterministic_signature()
+        )
+        assert not ctx.invariant_violations
+
+    @given(dense_digraphs(), st.integers(1, 4), st.data())
+    @settings(deadline=None)
+    def test_batched_congest_matches_brandes(self, g, batch, data):
+        """CONGEST MRBC run one Lemma 8 execution per batch of 1–4
+        sources: every batch's dist and σ exactly, BC at rtol 1e-9."""
+        n = g.num_vertices
+        srcs = sorted(data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+            label="sources",
+        ))
+        res = mrbc_congest_batched(g, srcs, batch_size=batch)
+        assert [int(s) for b in res.batches for s in b.sources] == srcs
+        for b in res.batches:
+            assert b.sources.size <= batch
+            for i, s in enumerate(b.sources.tolist()):
+                dist, sigma, _preds, _order = brandes_sssp(g, s)
+                assert np.array_equal(b.dist[i], dist)
+                assert np.array_equal(b.sigma[i], sigma)
         np.testing.assert_allclose(
             res.bc, brandes_bc(g, sources=srcs), rtol=1e-9, atol=0
         )

@@ -7,6 +7,8 @@ attribution, and the ``repro faults`` CLI.
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +16,15 @@ import pytest
 from repro import obs
 from repro.baselines.brandes import brandes_bc
 from repro.cluster.model import ClusterModel
-from repro.core.mrbc import MasterVertexState, mrbc_engine
+from repro.core import mrbc as mrbc_mod
+from repro.core.mrbc import _ArrayBatchExecutor, mrbc_engine
 from repro.engine.persist import (
     load_checkpoint,
     load_run,
     save_checkpoint,
     save_run,
 )
+from repro.engine.partition import partition_graph
 from repro.engine.stats import EngineRun
 from repro.graph import generators as gen
 from repro.resilience import (
@@ -34,10 +38,14 @@ from repro.resilience import (
     InvariantViolation,
     ResilienceContext,
     get_plan,
+    mrbc_forward_snapshot,
+    restore_mrbc_forward,
     run_under_faults,
 )
 from repro.resilience.plan import DEFAULT_PLANS
-from tests.conftest import some_sources
+from repro.runtime.arrays import MasterColumns
+from repro.runtime.plane import GluonArrayPlane
+from tests.conftest import MasterRig, dense_schedule, some_sources
 
 HOSTS = 4
 BATCH = 8
@@ -460,54 +468,293 @@ class TestCheckpointHardening:
 # -- invariants ----------------------------------------------------------------
 
 
+def checked_rig(mode):
+    """A master rig and a checker that has recorded rounds 1–3.
+
+    Batch sources 0 and 1 fire in round 1.  Vertex 5 then holds a fired
+    entry (1, 0) with σ 2, fired in round 2, and an unfired entry (2, 1)
+    with σ 3, due in round 4.
+    """
+    ctx = ResilienceContext(mode=mode)
+    chk = InvariantChecker(mode, ctx)
+    rig = MasterRig(batch=[0, 1])
+    rig.contribute(5, 0, host=1, d=1, sigma=2.0)
+    rig.contribute(5, 1, host=1, d=2, sigma=3.0)
+    for rnd in (1, 2, 3):
+        rig.fire(rnd)
+        chk.check_master_round(rnd, rig.ex.masters)
+    assert rig.taus(5) == {0: 2}
+    return rig, chk, ctx
+
+
+def write(column, at, value):
+    """A tamper that writes one value into a master column."""
+    def tamper(rig):
+        getattr(rig.ex.masters, column)[at] = value
+    return tamper
+
+
+def report(gid, si, host, d, sigma):
+    """A tamper that goes through the inbox merge: a bad report, which
+    also moves the master's maintained ``head`` and ``unfired``."""
+    return lambda rig: rig.contribute(gid, si, host=host, d=d, sigma=sigma)
+
+
+#: One fault in :func:`checked_rig`'s state per case, and the invariant
+#: it breaks.  Source 1's seed at vertex 1 fired in round 1, so a new
+#: entry (0, 0) there sorts below it.
+TAMPERS = {
+    "fired-distance": (write("ent_d", (0, 5), 0), "sent_prefix_immutability"),
+    "fired-tau": (write("tau", (0, 5), 9), "sent_prefix_immutability"),
+    "fired-unset": (write("fired", (0, 5), False), "sent_prefix_immutability"),
+    "entry-below-prefix": (write("ent_d", (1, 5), 0), "sent_prefix_immutability"),
+    "report-below-prefix": (report(5, 1, 2, 0, 1.0), "sent_prefix_immutability"),
+    "new-entry-below-prefix": (report(1, 0, 1, 0, 1.0), "sent_prefix_immutability"),
+    "sent-prefix": (write("sent_prefix", 5, 2), "sent_prefix_immutability"),
+    "sigma-shrinks": (write("best_sigma", (1, 5), 1.0), "sigma_monotonicity"),
+    "report-sigma-shrinks": (report(5, 1, 1, 2, 1.0), "sigma_monotonicity"),
+    "distance-grows": (write("ent_d", (1, 5), 3), "sigma_monotonicity"),
+}
+
+
+def master_state(M):
+    """Copies of the master columns a repair may write."""
+    return {
+        name: getattr(M, name).copy()
+        for name in ("ent_d", "best_sigma", "fired", "tau", "sent_prefix")
+    }
+
+
 class TestInvariants:
-    def _master(self):
-        """Row form of a master whose one entry (d=1, σ=2) fired on
-        schedule in round 2."""
-        ms = MasterVertexState()
-        ms.entries = [(1, 0)]
-        ms.contrib = {0: {1: (1, 2.0)}}
-        ms.best = {0: (1, 2.0)}
-        ms.tau = {0: 2}
-        ms.sent_prefix = 1
-        return ms
+    """The round invariants on a real executor's ``MasterColumns``."""
 
     def test_detect_raises_on_prefix_mutation(self):
-        ctx = ResilienceContext(mode="detect")
-        chk = InvariantChecker("detect", ctx)
-        ms = self._master()
-        chk.check_master_round(2, {5: ms})
-        ms.entries[0] = (0, 0)  # tamper with the fired prefix
-        with pytest.raises(InvariantViolation):
-            chk.check_master_round(3, {5: ms})
+        rig, chk, ctx = checked_rig("detect")
+        rig.ex.masters.ent_d[0, 5] = 0  # tamper with the fired prefix
+        with pytest.raises(InvariantViolation) as exc:
+            chk.check_master_round(4, rig.ex.masters)
         assert ctx.invariant_violations["sent_prefix_immutability"] == 1
-
-    def test_repair_rolls_back_prefix(self):
-        ctx = ResilienceContext(mode="repair")
-        chk = InvariantChecker("repair", ctx)
-        ms = self._master()
-        chk.check_master_round(2, {5: ms})
-        ms.entries[0] = (0, 0)
-        chk.check_master_round(3, {5: ms})  # repaired, no raise
-        assert ms.entries[0] == (1, 0)
-        assert ctx.recovered_by_kind.get("state_rollback", 0) == 1
+        assert str(exc.value).endswith(
+            "fired prefix of vertex 5 changed from [(1, 0)] to [(0, 0)]"
+        )
 
     def test_detect_raises_on_sigma_regression(self):
-        ctx = ResilienceContext(mode="detect")
-        chk = InvariantChecker("detect", ctx)
-        ms = self._master()
-        chk.check_master_round(2, {5: ms})
-        ms.best[0] = (1, 1.0)  # σ shrank at the same distance
-        with pytest.raises(InvariantViolation):
-            chk.check_master_round(3, {5: ms})
+        rig, chk, ctx = checked_rig("detect")
+        rig.ex.masters.best_sigma[1, 5] = 1.0  # σ shrank at the same distance
+        with pytest.raises(InvariantViolation) as exc:
+            chk.check_master_round(4, rig.ex.masters)
+        assert dict(ctx.invariant_violations) == {"sigma_monotonicity": 1}
+        assert str(exc.value).endswith(
+            "label of (v=5, s=1) regressed from (d=2, σ=3.0) to (d=2, σ=1.0)"
+        )
+
+    @pytest.mark.parametrize("case", sorted(TAMPERS))
+    def test_detect_raises_on_each_tamper(self, case):
+        tamper, invariant = TAMPERS[case]
+        rig, chk, ctx = checked_rig("detect")
+        tamper(rig)
+        with pytest.raises(InvariantViolation) as exc:
+            chk.check_master_round(4, rig.ex.masters)
+        assert exc.value.invariant == invariant
+        assert dict(ctx.invariant_violations) == {invariant: 1}
+
+    def test_untampered_round_passes(self):
+        rig, chk, ctx = checked_rig("detect")
+        assert rig.fire(4) == [(5, 1, 2, 3.0)]
+        chk.check_master_round(4, rig.ex.masters)
+        assert not ctx.invariant_violations
+
+    def test_repair_rolls_back_prefix(self):
+        rig, chk, ctx = checked_rig("repair")
+        M = rig.ex.masters
+        M.ent_d[0, 5] = 0
+        chk.check_master_round(4, M)  # repaired, no raise
+        assert rig.entries(5) == [(1, 0), (2, 1)]
+        assert ctx.recovered_by_kind.get("state_rollback", 0) == 1
+
+    @pytest.mark.parametrize("case", sorted(TAMPERS))
+    def test_repair_restores_recorded_values(self, case):
+        tamper, invariant = TAMPERS[case]
+        rig, chk, ctx = checked_rig("repair")
+        M = rig.ex.masters
+        before = master_state(M)
+        tamper(rig)
+        chk.check_master_round(4, M)
+        for name, got in master_state(M).items():
+            assert got.tobytes() == before[name].tobytes(), name
+        head, unfired = dense_schedule(M)
+        assert np.array_equal(M.head, head)
+        assert np.array_equal(M.unfired, unfired)
+        assert dict(ctx.invariant_violations) == {invariant: 1}
+        assert dict(ctx.recovered_by_kind) == {"state_rollback": 1}
+        # The repaired state is the record: the next round passes.
+        assert rig.fire(4) == [(5, 1, 2, 3.0)]
+        chk.check_master_round(4, M)
+        assert dict(ctx.invariant_violations) == {invariant: 1}
 
     def test_schedule_violation_not_repairable(self):
-        ctx = ResilienceContext(mode="repair")
-        chk = InvariantChecker("repair", ctx)
-        ms = self._master()
-        ms.tau[0] = 9  # fired timestamp off schedule: cannot roll back
-        with pytest.raises(InvariantViolation):
-            chk.check_master_round(2, {5: ms})
+        rig, chk, ctx = checked_rig("repair")
+        rig.fire(4)
+        rig.ex.masters.tau[1, 5] = 9  # fired off schedule: cannot roll back
+        with pytest.raises(InvariantViolation) as exc:
+            chk.check_master_round(4, rig.ex.masters)
+        assert exc.value.invariant == "timestamp_schedule"
+        assert str(exc.value).endswith(
+            "vertex 5 entry (2, 1) at position 1 fired in round 9, schedule says 4"
+        )
+        assert not ctx.recovered_by_kind
+
+    def test_engine_repair_rolls_back_once(self, monkeypatch):
+        # Guard off, so a corrupted report reaches the master and σ of
+        # one cell regresses.  The rollback writes the recorded value
+        # back into the columns, so the regression is reported once and
+        # the cell keeps that value to the end of the batch — here the
+        # value the corruption left (σ 2.5; Brandes gives 2.0): repair
+        # restores the last recorded state, it does not judge it.
+        seen = []
+        record = ResilienceContext.record_invariant_violation
+
+        def spy(self, invariant, rnd, detail, repaired):
+            seen.append((invariant, detail, repaired))
+            return record(self, invariant, rnd, detail, repaired)
+
+        monkeypatch.setattr(ResilienceContext, "record_invariant_violation", spy)
+        ctx = ResilienceContext(
+            plan=get_plan("corrupt", seed=1), mode="off", invariants="repair"
+        )
+        res = mrbc_engine(
+            gen.from_spec("er:60:3"), sources=range(12), batch_size=6,
+            num_hosts=4, resilience=ctx,
+        )
+        assert dict(ctx.invariant_violations) == {"sigma_monotonicity": 1}
+        assert dict(ctx.recovered_by_kind) == {"state_rollback": 1}
+        [(_name, detail, repaired)] = seen
+        assert repaired
+        v, s, d, sigma = re.fullmatch(
+            r"label of \(v=(\d+), s=(\d+)\) regressed from "
+            r"\(d=(\d+), σ=([\d.]+)\) to .*", detail
+        ).groups()
+        # Batch 0 holds sources 0-5, so batch slot s is result row s.
+        assert res.dist[int(s), int(v)] == int(d)
+        assert res.sigma[int(s), int(v)] == float(sigma)
+
+
+# -- MRBC forward checkpoints ------------------------------------------------------
+
+
+def forward_executor(mid_forward):
+    """A batch executor with master state to checkpoint: after a whole
+    forward phase, or mid-forward with fired and unfired entries."""
+    if mid_forward:
+        rig = MasterRig(batch=[0, 1])
+        rig.contribute(5, 0, host=1, d=1, sigma=2.0)
+        rig.contribute(5, 1, host=2, d=2, sigma=3.0)
+        rig.contribute(6, 1, host=2, d=2, sigma=2.0**53)
+        rig.fire(1)
+        rig.fire(2)
+        return rig.ex
+    pg = partition_graph(gen.from_spec("er:60:3"), 3, "cvc")
+    ex = _ArrayBatchExecutor(
+        pg, GluonArrayPlane(pg), EngineRun(num_hosts=3),
+        np.array([0, 4, 9], dtype=np.int64), True,
+    )
+    ex.run_forward()
+    return ex
+
+
+def fresh_twin(ex, batch=None):
+    """A newly built executor for the same partition (and batch)."""
+    return _ArrayBatchExecutor(
+        ex.pg, GluonArrayPlane(ex.pg), EngineRun(num_hosts=ex.H),
+        ex.batch if batch is None else np.asarray(batch, dtype=np.int64), True,
+    )
+
+
+class TestMRBCForwardCheckpoint:
+    @pytest.mark.parametrize("mid_forward", [False, True], ids=["post", "mid"])
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_restore_is_bit_identical(self, mid_forward, on_disk, tmp_path):
+        ex = forward_executor(mid_forward)
+        store = CheckpointStore(tmp_path if on_disk else None)
+        store.save("fwd", *mrbc_forward_snapshot(ex))
+        meta, arrays = store.load("fwd")
+        assert meta == {"kind": "mrbc-forward", "batch": ex.batch.tolist()}
+        fresh = fresh_twin(ex)
+        restore_mrbc_forward(fresh, meta, arrays)
+        M, R = ex.masters, fresh.masters
+        pairs = [(getattr(M, c), getattr(R, c)) for c in MasterColumns.STATE]
+        pairs += [
+            (ex.arena.fin_dist, fresh.arena.fin_dist),
+            (ex.arena.fin_sigma, fresh.arena.fin_sigma),
+        ]
+        for want, got in pairs:
+            assert got.dtype == want.dtype
+            if want.dtype == np.float64:
+                want, got = want.view(np.int64), got.view(np.int64)
+            assert np.array_equal(got, want)
+        assert R.master_order == M.master_order
+        head, unfired = dense_schedule(R)
+        assert np.array_equal(R.head, head)
+        assert np.array_equal(R.unfired, unfired)
+        assert np.array_equal(R.head, M.head)
+        assert fresh.delta is None
+
+    def test_different_batch_rejected(self):
+        ex = forward_executor(mid_forward=True)
+        meta, arrays = mrbc_forward_snapshot(ex)
+        with pytest.raises(ValueError, match="different source batch"):
+            restore_mrbc_forward(fresh_twin(ex, batch=[0, 2]), meta, arrays)
+
+    @pytest.mark.parametrize("bad", [
+        ("ent_d", "missing"),
+        ("tau", "shape"),
+        ("fin_sigma", "shape"),
+        ("fired", "dtype"),
+        ("best_sigma", "dtype"),
+    ], ids=lambda b: "-".join(b))
+    def test_malformed_array_rejected(self, bad):
+        name, how = bad
+        ex = forward_executor(mid_forward=True)
+        meta, arrays = mrbc_forward_snapshot(ex)
+        if how == "missing":
+            del arrays[name]
+        elif how == "shape":
+            arrays[name] = arrays[name][:-1]
+        else:
+            arrays[name] = arrays[name].astype(np.float32)
+        fresh = fresh_twin(ex)
+        before = fresh.masters.ent_d.copy()
+        with pytest.raises(ValueError, match=repr(name)):
+            restore_mrbc_forward(fresh, meta, arrays)
+        # Checked before any write.
+        assert np.array_equal(fresh.masters.ent_d, before)
+
+    def test_backward_crash_resumes_from_disk(self, tmp_path, monkeypatch):
+        g = gen.from_spec("er:60:3")
+        kw = dict(sources=range(6), batch_size=6, num_hosts=4)
+        clean = mrbc_engine(g, **kw)
+        fwd = clean.run.rounds_in_phase("forward")
+        assert clean.run.rounds_in_phase("backward") > 2
+        restores = []
+        restore = mrbc_mod.restore_mrbc_forward
+
+        def counted(*args):
+            restores.append(args[1]["batch"])
+            return restore(*args)
+
+        monkeypatch.setattr(mrbc_mod, "restore_mrbc_forward", counted)
+        ctx = ResilienceContext(
+            plan=crash_plan(fwd + 2), mode="repair", checkpoint_dir=str(tmp_path)
+        )
+        res = mrbc_engine(g, resilience=ctx, **kw)
+        assert ctx.crash_restarts == 1
+        assert restores == [list(range(6))]
+        assert [p.name for p in tmp_path.glob("*.ckpt.npz")] == [
+            "batch0000-forward.ckpt.npz"
+        ]
+        assert np.array_equal(res.bc.view(np.int64), clean.bc.view(np.int64))
+        assert np.array_equal(res.dist, clean.dist)
+        assert np.array_equal(res.sigma.view(np.int64), clean.sigma.view(np.int64))
 
 
 # -- persistence v2 ------------------------------------------------------------
@@ -694,6 +941,27 @@ class TestFaultsCLI:
         ])
         assert rc == 0
         assert "duplicate" in capsys.readouterr().out
+
+    def test_backward_crash_plan_restores_a_checkpoint(self, capsys, monkeypatch):
+        # The CI fault-matrix cell: the committed plan's crash lands past
+        # MRBC's 15 forward rounds, so the batch resumes from its forward
+        # checkpoint instead of restarting.
+        from repro.cli import main
+
+        restores = []
+        restore = mrbc_mod.restore_mrbc_forward
+        monkeypatch.setattr(
+            mrbc_mod, "restore_mrbc_forward",
+            lambda *args: restores.append(1) or restore(*args),
+        )
+        plan = Path(__file__).parent / "plans" / "crash-backward.json"
+        rc = main([
+            "faults", str(plan), "--algorithm", "mrbc", "--graph", "er:30:3",
+            "--sources", "6", "--hosts", "4", "--mode", "repair", "-q",
+        ])
+        assert rc == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+        assert restores == [1]
 
     def test_unknown_plan_errors(self):
         from repro.cli import main
