@@ -50,6 +50,10 @@ class BSPAlgorithm(ABC):
         Per-item wire size and batching factor for Gluon's accounting.
     broadcast_target:
         Which proxies receive master broadcasts (a Gluon target selector).
+
+    Gluon keeps one label per proxy, so the items a host stages and the
+    fires a master returns name each vertex at most once per host per
+    round (the plane sizes each pair message by its distinct vertices).
     """
 
     phase: str = "bsp"
@@ -341,13 +345,15 @@ class _SSSP(BSPAlgorithm):
         return [(g, d) for g, d in staged.items()]
 
     def master_update(self, inbox, oc_by_host):
-        fires: list[tuple] = []
+        # One fire per improved vertex, with its final distance, in
+        # first-improvement order (a dict keeps a key's first position).
+        fires: dict[int, float] = {}
         for gid, sender, d in inbox:
             oc_by_host[int(self.pg.master_of[gid])].struct_ops += 1
             if d < self.master_dist[gid]:
                 self.master_dist[gid] = d
-                fires.append((gid, d))
-        return fires
+                fires[gid] = d
+        return list(fires.items())
 
     def snapshot(self):
         arrays = {"master_dist": self.master_dist.copy()}

@@ -4,11 +4,10 @@ Gluon aggregates all values exchanged between one host pair in one round
 into a single message and compresses the metadata identifying the proxies
 (paper §4.1, §5.3).  This module implements that wire format for real:
 :func:`encode_message` packs an aggregated message into bytes and
-:func:`decode_message` recovers it exactly.  The substrate's byte
-accounting can therefore be the *length of the actual encoding*
-(``GluonSubstrate`` uses it through :func:`encoded_size`), and the
-(de)serialization cost charged by the cluster model corresponds to work
-this module really performs.
+:func:`decode_message` recovers it exactly.  It is the reference the
+closed-form byte model of :mod:`repro.engine.gluon` is checked against:
+the tests encode a run's pair messages with :func:`encoded_size` and
+compare the total with what the plane charged.
 
 Wire format (little-endian)
 ---------------------------

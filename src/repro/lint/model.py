@@ -170,8 +170,9 @@ BYTE_ACCOUNT_FIELDS = frozenset({"bytes_out", "bytes_in"})
 #: Path fragments of the modules that *are* the ledger-recording entry
 #: points (and their data-model homes) — the only places allowed to touch
 #: the primitives above: the message planes, the Gluon substrate's
-#: ``_account`` chokepoint, the CONGEST package, the resilience context's
-#: retransmit charging, and the stats structures themselves.
+#: ``account_column_pairs`` chokepoint, the CONGEST package, the
+#: resilience context's retransmit charging, and the stats structures
+#: themselves.
 LEDGER_ENTRY_PARTS = (
     "repro/runtime/plane.py",
     "repro/engine/gluon.py",

@@ -745,7 +745,7 @@ def _rl401(rule: Rule, mod: ModuleInfo) -> Iterator[Finding]:
                 scope.node,
                 f"engine entry point '{scope.name}' has no "
                 f"'{model.RESILIENCE_PARAM}=' parameter; every driver must "
-                "plumb the ResilienceContext into its GluonSubstrate so "
+                "plumb the ResilienceContext into its message plane so "
                 "fault plans and invariant checks can attach",
                 symbol=scope.qualname,
             )
@@ -909,7 +909,7 @@ def _rl403(rule: Rule, mod: ModuleInfo) -> Iterator[Finding]:
                         f"direct write to '.{tgt.value.attr}[...]' charges "
                         "wire bytes the comm ledger never sees — byte "
                         "accounting belongs to the MessagePlane entry "
-                        "points (GluonSubstrate._account, "
+                        "points (GluonSubstrate.account_column_pairs, "
                         "CongestPlane.exchange_round, retransmit charging)",
                         symbol=scope.qualname,
                     )

@@ -1,10 +1,13 @@
 """The per-run resilience context: fault modes, channel guard, recovery.
 
 One :class:`ResilienceContext` accompanies one algorithm execution.  The
-communication substrates (:class:`~repro.engine.gluon.GluonSubstrate`,
-:class:`~repro.congest.network.CongestNetwork`) call into it on every
-synchronization; the drivers (``mrbc_engine``, ``sbbc_engine``,
-``run_bsp``) call :meth:`on_crash` when a host crash surfaces.
+message planes call into it on every synchronization —
+:class:`~repro.runtime.plane.GluonArrayPlane` guards each routed
+exchange (:meth:`ResilienceContext.guard_exchange`) and
+:class:`~repro.runtime.plane.CongestPlane` each channel
+(:meth:`ResilienceContext.guard_congest`); the drivers (``mrbc_engine``,
+``sbbc_engine``, ``run_bsp``) call :meth:`on_crash` when a host crash
+surfaces.
 
 The channel guard models the integrity layer a production transport would
 run: every aggregated pair message carries an item count and a content
@@ -28,7 +31,9 @@ from __future__ import annotations
 
 import zlib
 from collections import defaultdict
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.resilience.errors import (
@@ -41,6 +46,7 @@ from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.injector import FaultInjector, Item
 from repro.resilience.invariants import InvariantChecker
 from repro.resilience.plan import FaultPlan
+from repro.runtime.arrays import Exchange
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.gluon import GluonSubstrate
@@ -66,8 +72,10 @@ class ResilienceContext:
     Parameters
     ----------
     plan:
-        The fault scenario; ``None`` means no injection (the guard still
-        verifies channels, at digest cost — useful as a pure detector).
+        The fault scenario; ``None`` means no injection: the channel
+        guard passes every message through unchecked (nothing can
+        perturb it), while the round invariants and crash restarts stay
+        armed.
     mode:
         Channel-guard mode: ``off`` | ``detect`` | ``repair``.
     invariants:
@@ -229,86 +237,147 @@ class ResilienceContext:
         if repaired:
             self._note_recovered("state_rollback", rnd, invariant=invariant)
 
-    # -- the channel guard (BSP/Gluon side) ------------------------------------
+    # -- the channel guard ------------------------------------------------------
 
-    def guard_sync(
+    def guard_exchange(
         self,
         substrate: "GluonSubstrate",
-        per_pair: dict[tuple[int, int], list[Item]],
+        inbox: Exchange,
+        snd: np.ndarray,
+        order: np.ndarray,
         payload_bytes: int,
         batch_width: int,
         rs: "RoundStats",
-    ) -> dict[tuple[int, int], list[Item]]:
-        """Inject, verify, and (per mode) repair one sync's pair messages."""
-        if rs is not self._last_rs:
-            self._last_rs = rs
-            self._host_events(rs)
-        if not self.injector.has_message_faults:
-            return per_pair
-        out: dict[tuple[int, int], list[Item]] = {}
-        retransmits: list[tuple[int, int, list[Item], int]] = []
-        for (sender, receiver), items in per_pair.items():
+    ) -> Exchange:
+        """Inject, verify, and (per mode) repair one routed Gluon exchange.
+
+        Called by both :class:`~repro.runtime.plane.GluonArrayPlane`
+        verbs after accounting, so a crashing round's bytes are charged.
+        ``inbox`` is the routed order, ``snd`` its sender per item and
+        ``order`` its pre-route positions (``GluonArrayPlane._route``).
+        Fires the round's host events first (:meth:`gluon_host_events`;
+        the plane calls that alone for an empty exchange).
+
+        Each non-self (sender, receiver) segment of the routed order is
+        one aggregated pair message.  The segments pass through the
+        guard in the order the staged items first name their pairs (by
+        the pre-route position of each segment's first item), which is
+        the order the fault draws follow; ``corrupt`` edits the last
+        column.  The delivered inbox keeps the plane's order — per
+        receiver, sender blocks ascending — and a dropped segment is
+        absent.
+        """
+        self.gluon_host_events(rs)
+        m = len(inbox)
+        if not self.injector.has_message_faults or not m:
+            return inbox
+        gids, cols, off = inbox.gids, inbox.cols, inbox.off
+        seg = np.empty(m + 1, dtype=bool)
+        np.not_equal(snd[1:], snd[:-1], out=seg[1:m])
+        seg[off] = True
+        bounds = np.flatnonzero(seg).tolist()
+        first = bounds[:-1]
+        senders = snd.take(first).tolist()
+        receivers = np.searchsorted(off[1:], first, side="right").tolist()
+        last = cols[-1]
+        delivered: dict[int, tuple[np.ndarray, tuple[np.ndarray, ...]]] = {}
+        retransmits: list[tuple[int, int, np.ndarray]] = []
+        for s in np.argsort(order.take(first), kind="stable").tolist():
+            sender, receiver = senders[s], receivers[s]
             if sender == receiver:
-                out[(sender, receiver)] = items
-                continue
-            delivered = self._guard_channel(
-                rs.round_index, sender, receiver, items, "sync", retransmits
+                continue  # local delivery never touches the network
+            a, b = bounds[s], bounds[s + 1]
+
+            def deliver(index, values):
+                at = np.asarray(index, dtype=np.int64) + a
+                got_gids = gids.take(at)
+                got = [c.take(at) for c in cols]
+                if values is not None:
+                    got[-1] = np.asarray(values, dtype=last.dtype)
+                intact = at.size == b - a and np.array_equal(
+                    got_gids, gids[a:b]
+                ) and all(np.array_equal(x, c[a:b]) for x, c in zip(got, cols))
+                return (got_gids, tuple(got)), intact
+
+            got, resent = self._guard_channel(
+                rs.round_index, sender, receiver, last[a:b], "sync", deliver
             )
-            if delivered:
-                out[(sender, receiver)] = delivered
+            if got is not None:
+                delivered[s] = got
+            if resent:
+                retransmits.append((sender, receiver, gids[a:b]))
         if retransmits:
             self._charge_retransmits(substrate, retransmits, payload_bytes, batch_width)
-        return out
+        if not delivered:
+            return inbox
+        # Splice the perturbed segments into the routed order.
+        counts = inbox.counts()
+        out_gids: list[np.ndarray] = []
+        out_cols: list[list[np.ndarray]] = [[] for _ in cols]
+        pos = 0
+        for s in sorted(delivered):
+            a, b = bounds[s], bounds[s + 1]
+            got_gids, got = delivered[s]
+            out_gids += (gids[pos:a], got_gids)
+            for acc, c, x in zip(out_cols, cols, got):
+                acc += (c[pos:a], x)
+            counts[receivers[s]] += got_gids.size - (b - a)
+            pos = b
+        out_gids.append(gids[pos:])
+        for acc, c in zip(out_cols, cols):
+            acc.append(c[pos:])
+        new_off = np.zeros_like(off)
+        np.cumsum(counts, out=new_off[1:])
+        return Exchange(
+            np.concatenate(out_gids),
+            tuple(np.concatenate(acc) for acc in out_cols),
+            new_off,
+        )
 
     def _guard_channel(
         self,
         rnd: int,
         sender: int,
         receiver: int,
-        items: list[Item],
+        last: Sequence[Any],
         op: str,
-        retransmits: list[tuple[int, int, list[Item], int]] | None,
-    ) -> list[Item]:
-        delivered, injected = self.injector.perturb_channel(
-            rnd, sender, receiver, items
-        )
-        if injected:
-            self._note_injected(injected, rnd, sender, receiver, op)
+        deliver: Callable[[list[int], list[Any] | None], tuple[Any, bool]],
+    ) -> tuple[Any, bool]:
+        """One aggregated channel message through the guard.
+
+        ``last`` holds the final field of each sent item.
+        ``deliver(index, values)`` builds the delivery that
+        :meth:`FaultInjector.perturb` describes and says whether it
+        equals what was sent — count and content, what a transport's
+        digest verifies.  Returns ``(delivered, retransmitted)``:
+        ``delivered`` is None when the sent items arrive, intact or
+        (``repair``) retransmitted, which ``retransmitted`` says.
+        """
+        index, values, injected = self.injector.perturb(last)
+        if not injected:
+            return None, False
+        self._note_injected(injected, rnd, sender, receiver, op)
+        delivered, intact = deliver(index, values)
+        if intact:
+            return None, False
         if self.mode == "off":
-            return delivered
-        # Integrity check: count + order-sensitive content digest.
-        if len(delivered) == len(items) and channel_digest(delivered) == channel_digest(
-            items
-        ):
-            return delivered
-        kinds = injected or ["unknown"]
+            return delivered, False
         self._note_detected(
-            kinds, rnd, sender, receiver, op, len(items), len(delivered)
+            injected, rnd, sender, receiver, op, len(last), len(index)
         )
         if self.mode == "detect":
-            raise FaultDetectedError(kinds, rnd, sender, receiver, op)
+            raise FaultDetectedError(injected, rnd, sender, receiver, op)
         # Repair: bounded retransmission over the same lossy network.
         for attempt in range(1, self.max_retries + 1):
             self.retransmits += 1
-            redelivered, inj2 = self.injector.perturb_channel(
-                rnd, sender, receiver, items
-            )
-            if inj2:
-                self._note_injected(inj2, rnd, sender, receiver, f"{op}:retransmit")
+            _index, _values, again = self.injector.perturb(last)
+            if again:
+                self._note_injected(again, rnd, sender, receiver, f"{op}:retransmit")
                 continue
-            if len(redelivered) == len(items) and channel_digest(
-                redelivered
-            ) == channel_digest(items):
-                self._note_recovered(
-                    "retransmit",
-                    rnd,
-                    sender=sender,
-                    receiver=receiver,
-                    attempts=attempt,
-                )
-                if retransmits is not None:
-                    retransmits.append((sender, receiver, items, attempt))
-                return list(items)
+            self._note_recovered(
+                "retransmit", rnd, sender=sender, receiver=receiver, attempts=attempt
+            )
+            return None, True
         raise UnrecoverableFaultError(
             f"channel {sender}->{receiver} still faulty after "
             f"{self.max_retries} retransmissions in round {rnd}"
@@ -317,11 +386,15 @@ class ResilienceContext:
     def _charge_retransmits(
         self,
         substrate: "GluonSubstrate",
-        retransmits: list[tuple[int, int, list[Item], int]],
+        retransmits: list[tuple[int, int, np.ndarray]],
         payload_bytes: int,
         batch_width: int,
     ) -> None:
-        """Charge successful retransmissions to one dedicated recovery round."""
+        """Charge successful retransmissions to one dedicated recovery
+        round, each sized as its pair message: the segment's items,
+        vertex runs and per-run source metadata."""
+        from repro.engine.gluon import SOURCE_ID_BYTES
+
         if self.run is None:
             return
         rr = self.run.new_round("recovery", recovery=True)
@@ -330,16 +403,20 @@ class ResilienceContext:
         if rl is not None:
             rl.record_recovery_round(rr)
         ledger = obs.current().comm
-        for sender, receiver, items, _attempts in retransmits:
-            vertices: dict[int, int] = defaultdict(int)
-            for it in items:
-                vertices[it[0]] += 1
-            nbytes = substrate._message_bytes(
-                sender, receiver, vertices, payload_bytes, batch_width
+        for sender, receiver, gids in retransmits:
+            starts = np.flatnonzero(np.diff(gids, prepend=gids[0] - 1))
+            runs = np.diff(starts, append=gids.size)
+            meta = (
+                int(np.minimum(SOURCE_ID_BYTES * runs, (batch_width + 7) // 8).sum())
+                if batch_width > 1
+                else 0
+            )
+            nbytes = substrate._pair_bytes(
+                sender, receiver, runs.size, gids.size, meta, payload_bytes
             )
             rr.pair_messages += 1
-            rr.items_synced += len(items)
-            rr.proxies_synced += len(vertices)
+            rr.items_synced += gids.size
+            rr.proxies_synced += runs.size
             rr.bytes_out[sender] += nbytes
             rr.bytes_in[receiver] += nbytes
             rr.msgs_out[sender] += 1
@@ -348,13 +425,17 @@ class ResilienceContext:
                 # Keep the ledger reconciled with RoundStats even under
                 # faults: retry traffic is comm volume too.
                 ledger.record_pair_message(
-                    rr, sender, receiver, len(items), nbytes, "retransmit"
+                    rr, sender, receiver, gids.size, nbytes, "retransmit"
                 )
 
     # -- host-scope faults -----------------------------------------------------
 
-    def _host_events(self, rs: "RoundStats") -> None:
-        self.host_events(rs.round_index)
+    def gluon_host_events(self, rs: "RoundStats") -> None:
+        """Gluon-plane entry for host-scope faults: the round's due host
+        events fire at its first exchange, empty or not."""
+        if rs is not self._last_rs:
+            self._last_rs = rs
+            self.host_events(rs.round_index)
 
     def host_events(self, rnd: int) -> None:
         """Materialize due host-scope faults (stall/crash) for round ``rnd``.
@@ -457,7 +538,24 @@ class ResilienceContext:
         self, rnd: int, sender: int, target: int, payloads: list[Item]
     ) -> list[Item]:
         """Guard one CONGEST channel's payload list for round ``rnd``."""
-        return self._guard_channel(rnd, sender, target, payloads, "congest", None)
+        if not self.injector.has_message_faults:
+            return payloads
+
+        def deliver(index, values):
+            got = (
+                [payloads[i] for i in index]
+                if values is None
+                else [(*payloads[i][:-1], v) for i, v in zip(index, values)]
+            )
+            intact = len(got) == len(payloads) and channel_digest(
+                got
+            ) == channel_digest(payloads)
+            return got, intact
+
+        got, _resent = self._guard_channel(
+            rnd, sender, target, [p[-1] for p in payloads], "congest", deliver
+        )
+        return payloads if got is None else got
 
     def congest_host_events(self, rnd: int) -> None:
         """CONGEST-plane entry for host-scope faults, once per exchange round."""

@@ -2,7 +2,7 @@
 into concrete perturbations of channel messages and host schedules.
 
 The injector is the *ground truth* of an experiment: it knows exactly
-which faults it materialized (returned from :meth:`perturb_channel` and
+which faults it materialized (returned from :meth:`perturb` and
 :meth:`due_host_events`), which is what lets the harness report detection
 latency and what makes ``off``-mode runs (inject but never check) a
 controlled poison experiment.
@@ -15,25 +15,28 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.resilience.plan import FaultPlan, FaultSpec
 from repro.utils.prng import make_rng
 
 Item = tuple[Any, ...]
 
 
-def _corrupt_item(item: Item, rng) -> Item:
-    """Perturb the payload value field of one item, preserving its type.
+def _corrupt_value(val: Any, rng) -> Any:
+    """Perturb one payload value, preserving its type: ``v·1.5 + 1`` for
+    a float, ``v + 1 + r`` with ``r`` drawn from ``{0, 1, 2}`` otherwise.
 
-    Only the *last* field is touched — always a payload value (σ, δ, or a
-    distance), never the vertex id or source slot, so an ``off``-mode run
-    computes plausibly-wrong numbers instead of crashing on bad routing.
+    Only an item's *last* field is ever corrupted — always a payload
+    value (σ, δ, or a distance), never the vertex id or source slot, so
+    an ``off``-mode run computes plausibly-wrong numbers instead of
+    crashing on bad routing.
     """
-    val = item[-1]
+    if isinstance(val, np.generic):
+        val = val.item()
     if isinstance(val, float):
-        bad = val * 1.5 + 1.0
-    else:
-        bad = val + 1 + int(rng.integers(0, 3))
-    return (*item[:-1], bad)
+        return val * 1.5 + 1.0
+    return val + 1 + int(rng.integers(0, 3))
 
 
 class FaultInjector:
@@ -69,21 +72,23 @@ class FaultInjector:
 
     # -- message faults --------------------------------------------------------
 
-    def perturb_channel(
-        self,
-        round_index: int,
-        sender: int,
-        receiver: int,
-        items: Sequence[Item],
-    ) -> tuple[list[Item], list[str]]:
+    def perturb(
+        self, last: Sequence[Any]
+    ) -> tuple[list[int] | None, list[Any] | None, list[str]]:
         """Apply message-scope faults to one channel's aggregated message.
 
-        Returns ``(delivered_items, injected_kinds)``.  ``delivered_items``
-        is what actually arrives; ``injected_kinds`` lists the faults that
-        fired (empty for an intact delivery).  Called for retransmissions
-        too — the retry goes over the same lossy network.
+        ``last`` holds the final field of each sent item, in order.
+        Returns ``(index, values, injected)``: the delivered message is
+        the sent items at positions ``index``, in that order (``drop``
+        empties it, ``duplicate`` repeats one position, ``reorder``
+        permutes it), and when ``values`` is not None the delivered
+        items' final fields are ``values`` (``corrupt`` edited one).
+        ``index`` is None when no fault fired; ``injected`` lists the
+        faults that fired.  Called for retransmissions too — the retry
+        goes over the same lossy network.
         """
-        delivered: list[Item] = list(items)
+        index: list[int] | None = None
+        values: list[Any] | None = None
         injected: list[str] = []
         for idx, spec in enumerate(self._message_specs):
             if not self._budget_left(idx, spec):
@@ -91,29 +96,37 @@ class FaultInjector:
             if float(self.rng.random()) >= spec.rate:
                 continue
             if spec.kind == "drop":
-                delivered = []
+                index, values = [], None
                 injected.append("drop")
                 self._record(idx, "drop")
                 break  # the whole aggregated message is lost
-            if not delivered:
+            if index is None:
+                index = list(range(len(last)))
+            if not index:
                 continue
             if spec.kind == "duplicate":
-                pos = int(self.rng.integers(0, len(delivered)))
-                delivered.insert(pos + 1, delivered[pos])
+                pos = int(self.rng.integers(0, len(index)))
+                index.insert(pos + 1, index[pos])
+                if values is not None:
+                    values.insert(pos + 1, values[pos])
                 injected.append("duplicate")
                 self._record(idx, "duplicate")
             elif spec.kind == "reorder":
-                if len(delivered) > 1:
-                    perm = self.rng.permutation(len(delivered))
-                    delivered = [delivered[int(i)] for i in perm]
+                if len(index) > 1:
+                    perm = self.rng.permutation(len(index)).tolist()
+                    index = [index[i] for i in perm]
+                    if values is not None:
+                        values = [values[i] for i in perm]
                     injected.append("reorder")
                     self._record(idx, "reorder")
             elif spec.kind == "corrupt":
-                pos = int(self.rng.integers(0, len(delivered)))
-                delivered[pos] = _corrupt_item(delivered[pos], self.rng)
+                pos = int(self.rng.integers(0, len(index)))
+                if values is None:
+                    values = [last[i] for i in index]
+                values[pos] = _corrupt_value(values[pos], self.rng)
                 injected.append("corrupt")
                 self._record(idx, "corrupt")
-        return delivered, injected
+        return (index if injected else None), values, injected
 
     # -- host faults -----------------------------------------------------------
 

@@ -24,7 +24,9 @@ Modes: ``off`` (checker not constructed), ``detect`` (violations raise
 :class:`~repro.resilience.errors.InvariantViolation`), ``repair`` (the
 violating cells get their recorded values back, reported as a recovery
 event; a schedule violation still raises — the broadcast already went
-out).
+out; and with the channel guard off a σ regression is reported but not
+rolled back, since it may be the correction of an earlier corrupted
+report).
 """
 
 from __future__ import annotations
@@ -110,15 +112,24 @@ class InvariantChecker:
                 f"(d={int(d[si, g])}, σ={float(sg[si, g])})"
             )))
         if found:
+            # With the channel guard off, a σ regression can be an honest
+            # report correcting an earlier corrupted one, so the record
+            # is no better than the columns: report it, keep the columns.
+            keep_sigma = self.ctx.mode == "off"
             if self.mode == "repair":
-                self._restore(M, regressed, moved | early, bad_prefix)
+                self._restore(
+                    M, regressed & (not keep_sigma), moved | early, bad_prefix
+                )
             found.sort(key=lambda v: (int(M.master_seq[v[1]]), v[0], v[2]))
             for kind, _g, _si, detail in found:
-                repaired = self.mode == "repair" and kind != _SCHEDULE
+                reported = self.mode == "repair" and kind == _SIGMA and keep_sigma
+                repaired = (
+                    self.mode == "repair" and kind != _SCHEDULE and not reported
+                )
                 self.ctx.record_invariant_violation(
                     _NAMES[kind], rnd, detail, repaired
                 )
-                if not repaired:
+                if not (repaired or reported):
                     raise InvariantViolation(_NAMES[kind], rnd, detail)
         self._last = (d.copy(), sg.copy(), fired.copy(), tau.copy())
 

@@ -7,13 +7,14 @@ on the :class:`~repro.runtime.plane.GluonArrayPlane`: every host's
 items stacked host by host as a struct of arrays, instead of a list of
 tuples per host.
 
-One explicit converter pair bridges to the tuple substrate:
-:meth:`Exchange.to_parts` / :meth:`Exchange.from_parts` translate
-exchange payloads per host part (:meth:`ColumnBlock.to_tuples` /
-:meth:`ColumnBlock.from_tuples`), which is how the array plane routes
-through the guarded tuple substrate under a fault plan.  The master
-state has one form, :class:`MasterColumns`: forward checkpoints store
-its arrays and the resilience invariant checker reads them in place.
+One explicit converter pair bridges to per-host tuple lists:
+:meth:`Exchange.from_parts` / :meth:`Exchange.to_parts` translate
+exchange payloads per host part (:meth:`ColumnBlock.from_tuples` /
+:meth:`ColumnBlock.to_tuples`), which is how
+:class:`~repro.runtime.plane.GluonPlane` carries the BSP vertex
+programs' tuple lists through the array verbs.  The master state has
+one form, :class:`MasterColumns`: forward checkpoints store its arrays
+and the resilience invariant checker reads them in place.
 
 Iteration-order contract: master creation order is explicit state
 (``master_seq``), and every order-sensitive sweep (fire emission,
@@ -78,9 +79,9 @@ class ColumnBlock:
     """One host's part of an :class:`Exchange`: aligned arrays.
 
     ``gids`` names the global vertex per row; ``cols`` carries the
-    payload columns (e.g. source slot, distance, σ).  The tuple
-    substrate's equivalent is a list of ``(gid, *payload)`` tuples — the
-    converters below translate losslessly in both directions.
+    payload columns (e.g. source slot, distance, σ).  The tuple-list
+    equivalent is a list of ``(gid, *payload)`` tuples — the converters
+    below translate losslessly in both directions.
     """
 
     __slots__ = ("gids", "cols")
@@ -101,7 +102,7 @@ class ColumnBlock:
         return int(self.gids.size)
 
     def to_tuples(self) -> list[tuple[Any, ...]]:
-        """The tuple substrate's representation: ``(gid, *payload)``."""
+        """The tuple-list representation: ``(gid, *payload)``."""
         pys = [self.gids.tolist()] + [c.tolist() for c in self.cols]
         return list(zip(*pys))
 
@@ -189,7 +190,7 @@ class Exchange:
         return cls(blk.gids, blk.cols, off)
 
     def to_parts(self) -> list[list[tuple[Any, ...]]]:
-        """Per host, the tuple substrate's ``(gid, *payload)`` list."""
+        """Per host, the ``(gid, *payload)`` tuple list."""
         return [[] if blk is None else blk.to_tuples() for blk in self]
 
     def __len__(self) -> int:

@@ -3,13 +3,13 @@
 A *plane* is what one superstep exchanges messages through.  Three
 implementations cover every engine in the repository:
 
-- :class:`GluonPlane` — host-level reduce/broadcast of per-vertex tuples
-  over a partitioned graph (wrapping
-  :class:`~repro.engine.gluon.GluonSubstrate`), used by the BSP vertex
-  programs (bfs/wcc/pagerank/kcore, ``run_bsp``);
-- :class:`GluonArrayPlane` — the same verbs and byte model carrying
-  one :class:`~repro.runtime.arrays.Exchange` of stacked columns, used
-  by MRBC and SBBC;
+- :class:`GluonArrayPlane` — host-level reduce/broadcast over a
+  partitioned graph, each verb carrying one
+  :class:`~repro.runtime.arrays.Exchange` of stacked columns and
+  charging :class:`~repro.engine.gluon.GluonSubstrate`'s byte model,
+  used by MRBC and SBBC;
+- :class:`GluonPlane` — its tuple-list front end, used by the BSP
+  vertex programs (bfs/wcc/pagerank/kcore, ``run_bsp``);
 - :class:`CongestPlane` — per-channel delivery with capacity and
   combining caps (wrapping :class:`~repro.congest.network
   .CongestNetwork`'s channel structures), used by the CONGEST programs.
@@ -70,89 +70,69 @@ class MessagePlane:
 
 
 class GluonPlane(MessagePlane):
-    """Host-level reduce/broadcast over a partitioned graph.
+    """The tuple-list front end of :class:`GluonArrayPlane`.
 
-    Delegates to a :class:`~repro.engine.gluon.GluonSubstrate` (pass a
-    prebuilt ``substrate`` to share or customize one, e.g. exact wire
-    sizes); the delayed-synchronization optimization passes through
-    unchanged because callers decide *which* items each round reduces.
+    For the BSP vertex programs, which stage per-host lists of ``(gid,
+    *payload)`` tuples: each verb stacks them into one
+    :class:`~repro.runtime.arrays.Exchange` (column dtypes read off the
+    values), runs the array verb, and returns the inboxes as per-host
+    tuple lists — ``(gid, sender, *payload)`` for a reduce.  The
+    delayed-synchronization optimization passes through unchanged
+    because callers decide *which* items each round reduces.
     """
 
-    def __init__(
-        self,
-        pg,
-        *,
-        resilience=None,
-        exact_sizes: bool = False,
-        substrate=None,
-    ) -> None:
-        if substrate is None:
-            from repro.engine.gluon import GluonSubstrate
-
-            substrate = GluonSubstrate(
-                pg, exact_sizes=exact_sizes, resilience=resilience
-            )
-        self.pg = pg
-        self.substrate = substrate
+    def __init__(self, pg, *, resilience=None) -> None:
+        self.array = GluonArrayPlane(pg, resilience=resilience)
         self.num_hosts = pg.num_hosts
+
+    @staticmethod
+    def _stack(per_host_items) -> Exchange:
+        rows = [t for p in per_host_items for t in p]
+        dtypes = tuple(np.asarray(c).dtype for c in list(zip(*rows))[1:])
+        return Exchange.from_parts(per_host_items, dtypes)
 
     def reduce_to_masters(self, per_host_items, payload_bytes, batch_width, rs):
         """Send each host's updated items to the owning masters."""
-        return self.substrate.reduce_to_masters(
-            per_host_items, payload_bytes, batch_width, rs
-        )
+        return self.array.reduce_to_masters(
+            self._stack(per_host_items), payload_bytes, batch_width, rs
+        ).to_parts()
 
     def broadcast_from_masters(
         self, per_host_items, targets, payload_bytes, batch_width, rs
     ):
         """Send master-side items to the hosts holding relevant proxies."""
-        return self.substrate.broadcast_from_masters(
-            per_host_items, targets, payload_bytes, batch_width, rs
-        )
+        return self.array.broadcast_from_masters(
+            self._stack(per_host_items), targets, payload_bytes, batch_width, rs
+        ).to_parts()
 
 
 class GluonArrayPlane(MessagePlane):
     """Columnar host-level reduce/broadcast: one value per exchange.
 
-    The vectorized form of :class:`GluonPlane`.  Both verbs take and
-    return one :class:`~repro.runtime.arrays.Exchange` — every host's
-    items stacked host by host with ``H + 1`` host offsets — instead of
-    per-vertex tuple lists; routing and inbox assembly are array
-    gathers over the stacked columns, and the per-pair statistics that
-    feed Gluon's byte model are read off the routed order in one linear
-    pass (:meth:`_pair_stats`).  Byte counts, ledger entries and
-    telemetry are produced by the same
-    :class:`~repro.engine.gluon.GluonSubstrate` model, so both planes
-    report identical communication numbers.
+    Both verbs take and return one :class:`~repro.runtime.arrays.Exchange`
+    — every host's items stacked host by host with ``H + 1`` host
+    offsets; routing and inbox assembly are array gathers over the
+    stacked columns, and the per-pair statistics that feed Gluon's byte
+    model are read off the routed order in one linear pass
+    (:meth:`_pair_stats`).  Byte counts, ledger entries and telemetry
+    come from :meth:`~repro.engine.gluon.GluonSubstrate
+    .account_column_pairs`.  Under a
+    :class:`~repro.resilience.context.ResilienceContext`, each verb hands
+    the routed exchange to the context's channel guard
+    (:meth:`~repro.resilience.context.ResilienceContext.guard_exchange`)
+    after accounting.
 
-    Two deliberate scope limits keep the tuple substrate authoritative
-    where fidelity beats speed:
-
-    - ``exact_sizes`` is refused (it encodes each item individually);
-    - under a :class:`~repro.resilience.context.ResilienceContext`, every
-      exchange round-trips through the guarded tuple substrate, one host
-      part at a time (:meth:`Exchange.to_parts` / ``from_parts``), so
-      fault injection, channel verification and repair are the
-      substrate's own — at tuple speed.
-
-    The inbox ordering contract is the tuple plane's: each destination
-    host receives sender blocks in ascending sender order, items within
-    a sender in staging order (reduce inboxes carry the sender as the
-    first payload column, mirroring the tuple plane's
-    ``(gid, sender, *payload)``).
+    Inbox ordering contract: each destination host receives sender
+    blocks in ascending sender order, items within a sender in staging
+    order (reduce inboxes carry the sender as the first payload column).
     """
 
-    def __init__(self, pg, *, resilience=None, substrate=None) -> None:
-        if substrate is None:
-            from repro.engine.gluon import GluonSubstrate
+    def __init__(self, pg, *, resilience=None) -> None:
+        from repro.engine.gluon import GluonSubstrate
 
-            substrate = GluonSubstrate(pg, resilience=resilience)
-        if substrate.exact_sizes:
-            raise ValueError(
-                "exact_sizes requires per-item encoding; use GluonPlane"
-            )
         self.pg = pg
-        self.substrate = substrate
+        self.substrate = GluonSubstrate(pg)
+        self.resilience = resilience
         self.num_hosts = pg.num_hosts
 
     # -- pair statistics ---------------------------------------------------
@@ -240,24 +220,24 @@ class GluonArrayPlane(MessagePlane):
         Returns the masters' inboxes as one :class:`Exchange` whose
         first payload column is the sender host.
         """
-        if self.substrate.resilience is not None:
-            return self._reduce_via_substrate(ex, payload_bytes, batch_width, rs)
         if not len(ex):
-            self.substrate.account_column_pairs(
-                _NO_PAIRS, payload_bytes, rs, op="reduce"
-            )
-            return Exchange.empty(self.num_hosts)
+            return self._nothing(payload_bytes, rs, "reduce")
         gids = ex.gids
-        inbox = self._split_by_dest(
-            gids, self.pg.master_of.take(gids), (ex.hosts(), *ex.cols),
-            self.num_hosts,
+        order, off = self._route(self.pg.master_of.take(gids), self.num_hosts)
+        inbox = Exchange(
+            gids.take(order),
+            tuple(c.take(order) for c in (ex.hosts(), *ex.cols)),
+            off,
         )
+        snd = inbox.cols[0]
         self.substrate.account_column_pairs(
-            self._pair_stats(inbox.cols[0], inbox, batch_width),
-            payload_bytes,
-            rs,
+            self._pair_stats(snd, inbox, batch_width), payload_bytes, rs,
             op="reduce",
         )
+        if self.resilience is not None:
+            inbox = self.resilience.guard_exchange(
+                self.substrate, inbox, snd, order, payload_bytes, batch_width, rs
+            )
         return inbox
 
     def broadcast_from_masters(
@@ -274,15 +254,8 @@ class GluonArrayPlane(MessagePlane):
             raise UnknownBroadcastTargetError(
                 f"unknown broadcast target {targets!r}"
             ) from None
-        if self.substrate.resilience is not None:
-            return self._broadcast_via_substrate(
-                ex, targets, payload_bytes, batch_width, rs
-            )
         if not len(ex):
-            self.substrate.account_column_pairs(
-                _NO_PAIRS, payload_bytes, rs, op="broadcast"
-            )
-            return Exchange.empty(self.num_hosts)
+            return self._nothing(payload_bytes, rs, "broadcast")
         # One expansion over the stacked senders, in sender order — the
         # item sequence of a per-host loop — then one gather per column
         # through the routed order.
@@ -292,34 +265,24 @@ class GluonArrayPlane(MessagePlane):
         inbox = Exchange(
             ex.gids.take(sel), tuple(c.take(sel) for c in ex.cols), off
         )
+        snd = ex.hosts().take(sel)
         self.substrate.account_column_pairs(
-            self._pair_stats(ex.hosts().take(sel), inbox, batch_width),
-            payload_bytes,
-            rs,
+            self._pair_stats(snd, inbox, batch_width), payload_bytes, rs,
             op="broadcast",
         )
+        if self.resilience is not None:
+            inbox = self.resilience.guard_exchange(
+                self.substrate, inbox, snd, order, payload_bytes, batch_width, rs
+            )
         return inbox
 
-    # -- resilience fallback (guarded tuple substrate) ---------------------
-
-    def _reduce_via_substrate(self, ex, payload_bytes, batch_width, rs):
-        inbox = self.substrate.reduce_to_masters(
-            ex.to_parts(), payload_bytes, batch_width, rs
-        )
-        if not len(ex):
-            return Exchange.empty(self.num_hosts)
-        dtypes = (np.dtype(np.int64), *(c.dtype for c in ex.cols))
-        return Exchange.from_parts(inbox, dtypes)
-
-    def _broadcast_via_substrate(
-        self, ex, targets, payload_bytes, batch_width, rs
-    ):
-        inbox = self.substrate.broadcast_from_masters(
-            ex.to_parts(), targets, payload_bytes, batch_width, rs
-        )
-        if not len(ex):
-            return Exchange.empty(self.num_hosts)
-        return Exchange.from_parts(inbox, tuple(c.dtype for c in ex.cols))
+    def _nothing(self, payload_bytes, rs, op) -> Exchange:
+        """An exchange with no item: accounted like any other, and the
+        round's host events still fire at its first exchange."""
+        self.substrate.account_column_pairs(_NO_PAIRS, payload_bytes, rs, op=op)
+        if self.resilience is not None:
+            self.resilience.gluon_host_events(rs)
+        return Exchange.empty(self.num_hosts)
 
 
 class CongestPlane(MessagePlane):

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from repro.engine.bsp import BSPAlgorithm, run_bsp, sssp_engine
+from repro.engine.bsp import BSPAlgorithm, _SSSP, run_bsp, sssp_engine
 from repro.engine.partition import partition_graph
 from repro.graph import generators as gen
 from repro.graph.weighted import with_random_weights, with_unit_weights
@@ -28,6 +28,37 @@ class TestSSSPEngine:
         assert np.allclose(dist, scipy_dijkstra(wg, 0))
         assert res.rounds > 0
         assert res.run.num_rounds == res.rounds
+
+    @pytest.mark.parametrize("H", [4, 8])
+    @pytest.mark.parametrize("seed", [61, 1, 2, 3])
+    def test_fires_name_each_vertex_once(self, H, seed, monkeypatch):
+        """A vertex that several senders improve in one round is fired
+        once, with its final distance (Gluon keeps one label per proxy),
+        and the distances still match Dijkstra's."""
+        g = gen.erdos_renyi(50, 3.5, seed=seed)
+        wg = with_random_weights(g, 1, 7, integer=True, seed=62)
+        rounds = []
+        orig = _SSSP.master_update
+
+        def spy(self, inbox, oc_by_host):
+            fires = orig(self, inbox, oc_by_host)
+            reported = [gid for gid, _sender, _d in inbox]
+            rounds.append((reported, fires, self.master_dist.copy()))
+            return fires
+
+        monkeypatch.setattr(_SSSP, "master_update", spy)
+        dist, _ = sssp_engine(wg, source=0, num_hosts=H)
+        assert np.allclose(dist, scipy_dijkstra(wg, 0))
+        for _reported, fires, master_dist in rounds:
+            gids = [gid for gid, _d in fires]
+            assert len(set(gids)) == len(gids)
+            assert all(d == master_dist[gid] for gid, d in fires)
+        # Not vacuous: some fired vertex was reported by several senders.
+        assert any(
+            reported.count(gid) > 1
+            for reported, fires, _ in rounds
+            for gid, _d in fires
+        )
 
     def test_unit_weights_match_bfs(self):
         from repro.graph.properties import bfs_distances

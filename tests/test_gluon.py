@@ -1,5 +1,10 @@
-"""Tests for the Gluon-style substrate: delivery semantics and the
-byte-accounting model (aggregation + metadata compression)."""
+"""Tests for the Gluon exchange: delivery semantics and the
+byte-accounting model (aggregation + metadata compression).
+
+Every exchange runs on :class:`~repro.runtime.plane.GluonArrayPlane` and
+on the tuple reference (``tests/gluon_reference.py``); the two must
+deliver the same inboxes and charge the same counters.
+"""
 
 import numpy as np
 import pytest
@@ -9,11 +14,14 @@ from repro.engine.gluon import (
     TARGET_ALL_PROXIES,
     TARGET_IN_EDGES,
     TARGET_OUT_EDGES,
-    GluonSubstrate,
 )
 from repro.engine.partition import partition_graph
+from repro.engine.serialize import encoded_size
 from repro.engine.stats import EngineRun
 from repro.graph import generators as gen
+from repro.runtime.arrays import Exchange
+from repro.runtime.plane import GluonArrayPlane
+from tests.gluon_reference import TupleGluonSubstrate
 
 
 @pytest.fixture(scope="module")
@@ -26,15 +34,36 @@ def rs(pg):
     return EngineRun(num_hosts=pg.num_hosts).new_round("forward")
 
 
+def _counters(rs):
+    return (
+        rs.bytes_out.tolist(), rs.bytes_in.tolist(), rs.msgs_out.tolist(),
+        rs.msgs_in.tolist(), rs.pair_messages, rs.items_synced,
+        rs.proxies_synced,
+    )
+
+
+def sync(pg, rs, verb, items, *args):
+    """Run ``verb`` on the array plane (charging ``rs``) and on the tuple
+    reference; require equal inboxes and counters; return the inbox as
+    per-host tuple lists.  Items are ``(gid, *ints, float)``."""
+    width = len(next(it for part in items for it in part))
+    ex = Exchange.from_parts(items, (np.int64,) * (width - 2) + (np.float64,))
+    got = getattr(GluonArrayPlane(pg), verb)(ex, *args, rs).to_parts()
+    ref_rs = EngineRun(num_hosts=pg.num_hosts).new_round("forward")
+    want = getattr(TupleGluonSubstrate(pg), verb)(items, *args, ref_rs)
+    assert got == want
+    assert _counters(rs) == _counters(ref_rs)
+    return got
+
+
 class TestReduce:
     def test_items_reach_master(self, pg, rs):
-        gluon = GluonSubstrate(pg)
         v = 7
         items = [[] for _ in range(4)]
         holders = pg.hosts_with_proxy(v)
         for h in holders.tolist():
             items[h].append((v, 1, 2.0))
-        inbox = gluon.reduce_to_masters(items, 12, 1, rs)
+        inbox = sync(pg, rs, "reduce_to_masters", items, 12, 1)
         master = int(pg.master_of[v])
         got = [it for it in inbox[master] if it[0] == v]
         assert len(got) == len(holders)
@@ -46,18 +75,16 @@ class TestReduce:
                 assert not inbox[h]
 
     def test_local_reduce_is_free(self, pg, rs):
-        gluon = GluonSubstrate(pg)
         v = 7
         master = int(pg.master_of[v])
         items = [[] for _ in range(4)]
         items[master].append((v, 1, 2.0))
-        gluon.reduce_to_masters(items, 12, 1, rs)
+        sync(pg, rs, "reduce_to_masters", items, 12, 1)
         assert rs.total_bytes() == 0
         assert rs.pair_messages == 0
         assert rs.items_synced == 1
 
     def test_remote_reduce_charged_both_ends(self, pg, rs):
-        gluon = GluonSubstrate(pg)
         v = 7
         master = int(pg.master_of[v])
         other = next(
@@ -65,7 +92,7 @@ class TestReduce:
         )
         items = [[] for _ in range(4)]
         items[other].append((v, 1, 2.0))
-        gluon.reduce_to_masters(items, 12, 1, rs)
+        sync(pg, rs, "reduce_to_masters", items, 12, 1)
         assert rs.bytes_out[other] > 0
         assert rs.bytes_in[master] == rs.bytes_out[other]
         assert rs.pair_messages == 1
@@ -81,20 +108,19 @@ class TestBroadcast:
         ],
     )
     def test_targeted_delivery(self, pg, rs, target, hosts_fn):
-        gluon = GluonSubstrate(pg)
         v = 11
         master = int(pg.master_of[v])
         items = [[] for _ in range(4)]
         items[master].append((v, 0, 1, 1.0))
-        inbox = gluon.broadcast_from_masters(items, target, 12, 1, rs)
+        inbox = sync(pg, rs, "broadcast_from_masters", items, target, 12, 1)
         expect = set(getattr(pg, hosts_fn)(v).tolist())
         got = {h for h in range(4) if any(it[0] == v for it in inbox[h])}
         assert got == expect
 
     def test_unknown_target_rejected(self, pg, rs):
         with pytest.raises(ValueError):
-            GluonSubstrate(pg).broadcast_from_masters(
-                [[] for _ in range(4)], "sideways", 12, 1, rs
+            GluonArrayPlane(pg).broadcast_from_masters(
+                Exchange.empty(4), "sideways", 12, 1, rs
             )
 
 
@@ -102,7 +128,6 @@ class TestByteModel:
     def test_aggregation_one_header_per_pair(self, pg):
         """Two items on the same pair cost one header; on different rounds,
         two headers — the round-amortization MRBC exploits."""
-        gluon = GluonSubstrate(pg)
         v = 7
         master = int(pg.master_of[v])
         other = next(int(h) for h in pg.hosts_with_proxy(v) if int(h) != master)
@@ -111,17 +136,17 @@ class TestByteModel:
         rs1 = run.new_round("forward")
         items = [[] for _ in range(4)]
         items[other] = [(v, 0, 1, 1.0), (v, 1, 1, 1.0)]
-        gluon.reduce_to_masters(items, 12, 8, rs1)
+        sync(pg, rs1, "reduce_to_masters", items, 12, 8)
         together = rs1.total_bytes()
 
         rs2 = run.new_round("forward")
         rs3 = run.new_round("forward")
         one = [[] for _ in range(4)]
         one[other] = [(v, 0, 1, 1.0)]
-        gluon.reduce_to_masters(one, 12, 8, rs2)
+        sync(pg, rs2, "reduce_to_masters", one, 12, 8)
         two = [[] for _ in range(4)]
         two[other] = [(v, 1, 1, 1.0)]
-        gluon.reduce_to_masters(two, 12, 8, rs3)
+        sync(pg, rs3, "reduce_to_masters", two, 12, 8)
         split = rs2.total_bytes() + rs3.total_bytes()
         assert together < split
         assert split - together >= MESSAGE_HEADER_BYTES
@@ -129,7 +154,6 @@ class TestByteModel:
     def test_batched_source_metadata_compresses(self, pg):
         """Many sources of one vertex in one message: bitvector beats an
         index list (the §5.3 metadata-compression effect)."""
-        gluon = GluonSubstrate(pg)
         v = 7
         master = int(pg.master_of[v])
         other = next(int(h) for h in pg.hosts_with_proxy(v) if int(h) != master)
@@ -140,7 +164,7 @@ class TestByteModel:
             rs = run.new_round("forward")
             items = [[] for _ in range(4)]
             items[other] = [(v, si, 1, 1.0) for si in range(num_sources_present)]
-            gluon.reduce_to_masters(items, 12, k, rs)
+            sync(pg, rs, "reduce_to_masters", items, 12, k)
             return rs.total_bytes()
 
         # Marginal cost per extra source must be payload + ~0 metadata once
@@ -151,12 +175,11 @@ class TestByteModel:
         # explicit 4-byte source-id cost
 
     def test_message_counts_recorded(self, pg, rs):
-        gluon = GluonSubstrate(pg)
         v = 11
         master = int(pg.master_of[v])
         items = [[] for _ in range(4)]
         items[master].append((v, 0, 1, 1.0))
-        gluon.broadcast_from_masters(items, TARGET_ALL_PROXIES, 12, 1, rs)
+        sync(pg, rs, "broadcast_from_masters", items, TARGET_ALL_PROXIES, 12, 1)
         remote = len([h for h in pg.hosts_with_proxy(v) if int(h) != master])
         assert rs.pair_messages == remote
         assert int(rs.msgs_out[master]) == remote
@@ -165,25 +188,40 @@ class TestByteModel:
 
 class TestExactSizes:
     def test_exact_mode_close_to_model(self, pg, monkeypatch):
-        """End-to-end: a BSP program's volume under exact wire encoding
-        differs from the closed-form model's (so the exact plane really
-        ran) but stays within 25% of it."""
+        """End-to-end: encoding every pair message of a BFS run with the
+        reference wire format (:mod:`repro.engine.serialize`) gives a
+        volume that differs from what the plane charged (so the encoder
+        really ran) but stays within 25% of it."""
         from repro.engine import programs
 
-        g = pg.graph
-        modeled = programs.bfs_engine(g, 0, partition=pg)
+        ref = TupleGluonSubstrate(pg)
+        encoded = []
 
-        # Rerun with an exact-size plane: bfs_engine builds its message
-        # plane from the module-level GluonPlane name.
-        orig = programs.GluonPlane
-        monkeypatch.setattr(
-            programs,
-            "GluonPlane",
-            lambda p, **kw: orig(p, exact_sizes=True, **kw),
-        )
-        exact = programs.bfs_engine(g, 0, partition=pg)
+        def recorder(verb, group):
+            orig = getattr(GluonArrayPlane, verb)
 
-        assert np.array_equal(exact.values, modeled.values)
-        a, b = exact.run.total_bytes, modeled.run.total_bytes
-        assert a != b, "exact_sizes plane was not used"
+            def record(self, ex, *args):
+                *targets, payload_bytes, batch_width, _rs = args
+                pairs = group(ex.to_parts(), *targets)
+                # One payload value per item: an f64 for 4-8 byte
+                # payloads, (i32, f64) above.
+                fmt, value = ("<id", (0, 0.0)) if payload_bytes >= 12 \
+                    else ("<d", (0.0,))
+                for (sender, receiver), items in pairs.items():
+                    if sender != receiver:
+                        wire = [(int(it[0]), 0, value) for it in items]
+                        encoded.append(
+                            encoded_size(wire, batch_width, payload_format=fmt)
+                        )
+                return orig(self, ex, *args)
+
+            monkeypatch.setattr(GluonArrayPlane, verb, record)
+
+        recorder("reduce_to_masters", ref.reduce_pairs)
+        recorder("broadcast_from_masters", ref.broadcast_pairs)
+        modeled = programs.bfs_engine(pg.graph, 0, partition=pg)
+
+        assert encoded, "no pair message was encoded"
+        a, b = sum(encoded), modeled.run.total_bytes
+        assert a != b, "the encoded volume equals the model by accident"
         assert abs(a - b) / b < 0.25, (a, b)

@@ -1,7 +1,8 @@
 """Contract tests every ledger-recording MessagePlane must satisfy.
 
-Both concrete planes — :class:`~repro.runtime.plane.GluonPlane`
-(host-level reduce/broadcast) and :class:`~repro.runtime.plane
+The concrete planes — :class:`~repro.runtime.plane.GluonArrayPlane`
+and its tuple-list front end :class:`~repro.runtime.plane.GluonPlane`
+(host-level reduce/broadcast), and :class:`~repro.runtime.plane
 .CongestPlane` (per-edge channel exchange) — are driven through small
 deterministic workloads and held to the same contract:
 
@@ -53,6 +54,7 @@ from repro.runtime.arrays import Exchange
 from repro.runtime.errors import UnknownBroadcastTargetError
 from repro.runtime.plane import GluonArrayPlane, GluonPlane
 from repro.runtime.superstep import SuperstepRuntime
+from tests.gluon_reference import TupleGluonSubstrate
 
 NUM_HOSTS = 4
 
@@ -109,11 +111,14 @@ class PlaneContractBase:
 
 class TestGluonPlaneContract(PlaneContractBase):
     plane_label = PLANE_GLUON
+    #: The tuple-list plane driven; the tuple reference drives the same
+    #: workload in ``test_accounting_identical_to_tuple_plane``.
+    plane_cls: Any = GluonPlane
 
     def drive(self, ledger: CommLedger | None) -> Reference:
         g = gen.erdos_renyi(40, 3.0, seed=13)
         pg = partition_graph(g, NUM_HOSTS, "cvc")
-        plane = GluonPlane(pg)
+        plane = self.plane_cls(pg)
         run = EngineRun(num_hosts=NUM_HOSTS)
         with obs.session(comm=ledger):
             for step in range(3):
@@ -170,7 +175,7 @@ class TestGluonArrayPlaneContract(PlaneContractBase):
     Drives :class:`GluonArrayPlane` with the same logical items as
     :class:`TestGluonPlaneContract` (staged as one Exchange), so on top
     of the base contract we can assert its accounting is *identical* to
-    the tuple plane's, byte for byte.
+    the tuple reference's (``tests/gluon_reference.py``), byte for byte.
     """
 
     plane_label = PLANE_GLUON
@@ -212,7 +217,9 @@ class TestGluonArrayPlaneContract(PlaneContractBase):
         array_ledger = CommLedger()
         array_ref = self.drive(array_ledger)
         tuple_ledger = CommLedger()
-        tuple_ref = TestGluonPlaneContract().drive(tuple_ledger)
+        reference = TestGluonPlaneContract()
+        reference.plane_cls = TupleGluonSubstrate
+        tuple_ref = reference.drive(tuple_ledger)
         assert array_ref.signature == tuple_ref.signature
         assert array_ledger.totals(PLANE_GLUON) == tuple_ledger.totals(
             PLANE_GLUON
@@ -235,7 +242,7 @@ class TestExchangeValue:
     """The array plane's one exchange value, for both verbs.
 
     Each verb returns one :class:`Exchange`; iterated, it yields the H
-    host parts in host order (each part equal to the tuple plane's
+    host parts in host order (each part equal to the tuple reference's
     inbox for that host), the parts stacked are its columns, and their
     lengths sum to the items the plane delivered — the count the e2e
     benchmark takes for ``plane.items`` by iterating the return value.
@@ -257,7 +264,7 @@ class TestExchangeValue:
         out = []
         for plane, staged in (
             (GluonArrayPlane(pg), Exchange.from_parts(items, dtypes)),
-            (GluonPlane(pg), items),
+            (TupleGluonSubstrate(pg), items),
         ):
             rs = EngineRun(num_hosts=NUM_HOSTS).new_round("forward")
             if verb == "reduce":

@@ -10,7 +10,7 @@ a host part, a vertex's items are adjacent).  Two checks:
   delayed and eager, forward and backward, SBBC, crash restarts and the
   fault plans — no ``(host, gid)`` appears in two runs;
 - on random vertex-run exchanges, the array plane charges exactly what
-  the tuple substrate charges — bytes, ``RoundStats`` counters, ledger
+  the tuple reference (``tests/gluon_reference.py``) charges — bytes, ``RoundStats`` counters, ledger
   rows and telemetry — and delivers the same inboxes, over 1–300 hosts
   and batch widths on both sides of 32, where ``min(4·c, ⌈k/8⌉)``
   starts to depend on the run length ``c``.
@@ -26,13 +26,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.engine.gluon import GluonSubstrate
 from repro.engine.partition import partition_graph
 from repro.engine.stats import EngineRun
 from repro.graph.digraph import DiGraph
 from repro.obs.comm import PLANE_GLUON, CommLedger
 from repro.runtime.arrays import Exchange
 from repro.runtime.plane import GluonArrayPlane
+from tests.gluon_reference import TupleGluonSubstrate
 from tests.test_plane_equivalence import RUNNERS, _load_goldens
 
 VERBS = ("reduce_to_masters", "broadcast_from_masters")
@@ -182,7 +182,7 @@ def _charge(verb, plane_kind, pg, ex, targets, payload_bytes, batch_width):
             inbox = getattr(plane, verb)(*args, payload_bytes, batch_width, rs)
             inbox = inbox.to_parts()
         else:
-            sub = GluonSubstrate(pg)
+            sub = TupleGluonSubstrate(pg)
             args = (ex.to_parts(),) if verb == "reduce_to_masters" \
                 else (ex.to_parts(), targets)
             inbox = getattr(sub, verb)(*args, payload_bytes, batch_width, rs)

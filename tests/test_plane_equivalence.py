@@ -232,9 +232,9 @@ def test_sbbc_array_plane_is_bit_identical(spec, hosts):
 
 
 def test_mrbc_crash_restart_equivalence():
-    """Under an injected crash every exchange routes through the guarded
-    tuple substrate; restart accounting (recovery rounds, replayed work)
-    stays pinned too."""
+    """Under an injected crash every exchange passes through the channel
+    guard; restart accounting (recovery rounds, replayed work) stays
+    pinned too."""
     _check("mrbc/crash-restart")
 
 

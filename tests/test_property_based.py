@@ -16,8 +16,10 @@ from repro.baselines.brandes import brandes_bc, brandes_sssp
 from repro.baselines.sbbc import sbbc_engine
 from repro.core.mrbc import mrbc_engine
 from repro.core.mrbc_congest import directed_apsp, mrbc_congest, mrbc_congest_batched
+from repro.engine.bsp import sssp_engine
 from repro.engine.partition import partition_graph
 from repro.graph.digraph import DiGraph
+from repro.graph.weighted import WeightedDiGraph
 from repro.resilience import ResilienceContext
 from repro.utils.bitset import Bitset
 from repro.utils.flatmap import FlatMap
@@ -117,17 +119,19 @@ class TestMRBCProperties:
             res.bc, brandes_bc(g, sources=srcs), rtol=1e-9, atol=0
         )
 
-    @given(dense_digraphs(), st.integers(1, 4), st.integers(1, 3),
+    @given(dense_digraphs(), st.sampled_from(["mrbc", "sbbc"]),
+           st.integers(1, 4), st.integers(1, 3),
            st.booleans(), st.sampled_from(["oec", "iec", "cvc", "random"]),
            st.sampled_from(["detect", "repair"]), st.data())
     @settings(deadline=None)
     def test_resilience_context_is_neutral(
-        self, g, batch, hosts, delayed_sync, policy, mode, data
+        self, g, engine, batch, hosts, delayed_sync, policy, mode, data
     ):
         """With no fault plan, a ``ResilienceContext`` in either checking
-        mode changes nothing: dist, σ and BC bits and the deterministic
-        signature equal the fault-free run's, and no round invariant is
-        reported violated."""
+        mode changes nothing, for MRBC (any batch, delayed or eager sync)
+        and SBBC: dist, σ and BC bits and the deterministic signature
+        equal the fault-free run's, and no round invariant is reported
+        violated."""
         n = g.num_vertices
         srcs = sorted(data.draw(
             st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
@@ -136,13 +140,18 @@ class TestMRBCProperties:
         kw = {"seed": data.draw(st.integers(0, 2**31 - 1), label="seed")} \
             if policy == "random" else {}
         pg = partition_graph(g, hosts, policy, **kw)
-        run = dict(
-            sources=srcs, batch_size=batch, partition=pg,
-            delayed_sync=delayed_sync,
-        )
-        clean = mrbc_engine(g, **run)
+        if engine == "mrbc":
+            run = dict(
+                sources=srcs, batch_size=batch, partition=pg,
+                delayed_sync=delayed_sync,
+            )
+            engine_fn = mrbc_engine
+        else:
+            run = dict(sources=srcs, partition=pg)
+            engine_fn = sbbc_engine
+        clean = engine_fn(g, **run)
         ctx = ResilienceContext(mode=mode)
-        res = mrbc_engine(g, resilience=ctx, **run)
+        res = engine_fn(g, resilience=ctx, **run)
         assert np.array_equal(res.dist, clean.dist)
         assert np.array_equal(res.sigma.view(np.int64), clean.sigma.view(np.int64))
         assert np.array_equal(res.bc.view(np.int64), clean.bc.view(np.int64))
@@ -151,6 +160,35 @@ class TestMRBCProperties:
             == clean.run.deterministic_signature()
         )
         assert not ctx.invariant_violations
+
+    @given(dense_digraphs(), st.integers(1, 3),
+           st.sampled_from(["oec", "iec", "cvc"]),
+           st.sampled_from(["detect", "repair"]), st.data())
+    @settings(deadline=None)
+    def test_resilience_context_is_neutral_for_sssp(
+        self, g, hosts, policy, mode, data
+    ):
+        """The BSP driver too: a no-plan context runs ``sssp_engine``
+        through the guarded, checkpointing round loop, and the distance
+        bits and the deterministic signature equal the fault-free run's."""
+        n = g.num_vertices
+        source = data.draw(st.integers(0, n - 1), label="source")
+        weights = data.draw(
+            st.lists(st.integers(1, 7), min_size=g.num_edges, max_size=g.num_edges),
+            label="weights",
+        )
+        wg = WeightedDiGraph(g, np.asarray(weights, dtype=np.float64))
+        pg = partition_graph(g, hosts, policy)
+        clean, clean_run = sssp_engine(wg, source, partition=pg)
+        dist, res = sssp_engine(
+            wg, source, partition=pg, resilience=ResilienceContext(mode=mode)
+        )
+        assert np.array_equal(dist.view(np.int64), clean.view(np.int64))
+        assert res.rounds == clean_run.rounds
+        assert (
+            res.run.deterministic_signature()
+            == clean_run.run.deterministic_signature()
+        )
 
     @given(dense_digraphs(), st.integers(1, 4), st.data())
     @settings(deadline=None)

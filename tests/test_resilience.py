@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.baselines.brandes import brandes_bc
+from repro.baselines.brandes import brandes_bc, brandes_sssp
 from repro.cluster.model import ClusterModel
 from repro.core import mrbc as mrbc_mod
 from repro.core.mrbc import _ArrayBatchExecutor, mrbc_engine
@@ -108,7 +108,7 @@ class TestFaultPlan:
 
 class TestInjectorDeterminism:
     def test_same_seed_same_perturbations(self):
-        items = [(7, 0, 2, 1.5), (8, 1, 3, 2.5), (9, 0, 1, 0.5)]
+        last = [1.5, 2.5, 0.5]
         plan = FaultPlan(
             name="t", seed=42,
             specs=(FaultSpec(kind="reorder", rate=0.5),
@@ -117,23 +117,40 @@ class TestInjectorDeterminism:
         seqs = []
         for _ in range(2):
             inj = FaultInjector(plan)
-            seq = [
-                inj.perturb_channel(rnd, 0, 1, list(items))
-                for rnd in range(1, 20)
-            ]
-            seqs.append(seq)
+            seqs.append([inj.perturb(last) for _rnd in range(1, 20)])
         assert seqs[0] == seqs[1]
+        assert any(injected for _i, _v, injected in seqs[0])
         assert FaultInjector(plan).total_injected == 0
 
     def test_different_seed_diverges(self):
-        items = [(7, 0, 2, 1.5), (8, 1, 3, 2.5)]
+        last = [2, 3]
         out = []
         for seed in (1, 2):
             inj = FaultInjector(get_plan("drop").with_seed(seed))
-            out.append(
-                [inj.perturb_channel(r, 0, 1, list(items)) for r in range(30)]
-            )
+            out.append([inj.perturb(last) for _r in range(30)])
         assert out[0] != out[1]
+
+    def test_decisions_follow_the_value_type(self):
+        """``corrupt`` edits the last field by its type — ``v·1.5 + 1``
+        for a float, ``v + 1 + r`` (one extra draw) for an int, NumPy
+        scalars by their dtype — and moves with later decisions."""
+        plan = FaultPlan(
+            name="t", seed=3,
+            specs=(FaultSpec(kind="corrupt", rate=1.0),
+                   FaultSpec(kind="duplicate", rate=1.0)),
+        )
+        index, values, injected = FaultInjector(plan).perturb(
+            np.array([1.0, 2.0, 8.0])
+        )
+        assert injected == ["corrupt", "duplicate"]
+        assert len(index) == len(values) == 4
+        assert sorted(set(values) - {1.0, 2.0, 8.0}) in ([2.5], [4.0], [13.0])
+        _index, int_values, _ = FaultInjector(plan).perturb(
+            np.array([5, 50], dtype=np.int32)
+        )
+        assert all(isinstance(v, (int, np.integer)) for v in int_values)
+        [bad] = {int(v) for v in int_values} - {5, 50}
+        assert 6 <= bad <= 8 or 51 <= bad <= 53
 
 
 # -- end-to-end fault experiments ---------------------------------------------
@@ -605,12 +622,12 @@ class TestInvariants:
         assert not ctx.recovered_by_kind
 
     def test_engine_repair_rolls_back_once(self, monkeypatch):
-        # Guard off, so a corrupted report reaches the master and σ of
-        # one cell regresses.  The rollback writes the recorded value
-        # back into the columns, so the regression is reported once and
-        # the cell keeps that value to the end of the batch — here the
-        # value the corruption left (σ 2.5; Brandes gives 2.0): repair
-        # restores the last recorded state, it does not judge it.
+        # Guard off, so a corrupted report reaches the master: σ of cell
+        # (v=3, s=4) is raised to 2.5, and a later honest report lowers
+        # it to Brandes' 2.0, which the checker sees as a regression.
+        # With the guard off the record is no better than the columns,
+        # so repair reports the regression once and keeps the columns —
+        # no rollback, and the cell ends at Brandes' value.
         seen = []
         record = ResilienceContext.record_invariant_violation
 
@@ -627,16 +644,21 @@ class TestInvariants:
             num_hosts=4, resilience=ctx,
         )
         assert dict(ctx.invariant_violations) == {"sigma_monotonicity": 1}
-        assert dict(ctx.recovered_by_kind) == {"state_rollback": 1}
+        assert "state_rollback" not in ctx.recovered_by_kind
         [(_name, detail, repaired)] = seen
-        assert repaired
-        v, s, d, sigma = re.fullmatch(
+        assert not repaired
+        v, s, d, sigma, d_now, sigma_now = re.fullmatch(
             r"label of \(v=(\d+), s=(\d+)\) regressed from "
-            r"\(d=(\d+), σ=([\d.]+)\) to .*", detail
+            r"\(d=(\d+), σ=([\d.]+)\) to \(d=(\d+), σ=([\d.]+)\)", detail
         ).groups()
+        assert (int(v), int(s), float(sigma), float(sigma_now)) == (3, 4, 2.5, 2.0)
         # Batch 0 holds sources 0-5, so batch slot s is result row s.
-        assert res.dist[int(s), int(v)] == int(d)
-        assert res.sigma[int(s), int(v)] == float(sigma)
+        assert res.dist[4, 3] == int(d) == int(d_now)
+        assert res.sigma[4, 3] == 2.0
+        _dist, brandes_sigma, _preds, _order = brandes_sssp(
+            gen.from_spec("er:60:3"), 4
+        )
+        assert brandes_sigma[3] == 2.0
 
 
 # -- MRBC forward checkpoints ------------------------------------------------------
